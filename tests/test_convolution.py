@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from youngconv.convolution import (
+    _convolve,
+    ascent_direction_phi1,
+    ascent_direction_phi2,
     lp_norm,
     transform_identity_check,
     twisted_convolve,
@@ -224,3 +227,54 @@ def test_affine_enlarged_dominates_window():
     window = twisted_convolve(f1, f2, EX, enlarged=False)
     assert full.lp_norm(EX.p) >= window.lp_norm(EX.p) - 1e-12
     assert full.truncation_mass <= window.truncation_mass + 1e-12
+
+
+def _random_dual(psi, rng):
+    """A dual function on the convolution's own domain, with random values."""
+    w = psi.dual_power(1.0)
+    w.values = rng.random(psi.values.shape)
+    return w
+
+
+def test_adjoint_pairings():
+    # <phi1, A* w> = <phi2, B* w> = <psi, w>: the ascent directions are the
+    # exact adjoints of the forward convolution on the cell-valued kinds
+    rng = np.random.default_rng(13)
+    cases = [
+        (cyclic_group(7), True),
+        (affine_prime_field(5), True),
+        (make_integer_line(6), True),
+        (make_affine_group(0.25, 1.0, 0.25, 1.0), False),
+    ]
+    for model, check_b in cases:
+        for de in (0.0, 0.4):
+            v1, v2 = rng.random(model.shape), rng.random(model.shape)
+            for enlarged in (True, False):
+                psi = _convolve(model, v1, v2, de, enlarged)
+                w = _random_dual(psi, rng)
+                target = float(np.sum(psi.weight * psi.values * w.values))
+                a_star = ascent_direction_phi1(model, v2, w, de)
+                assert float(np.sum(model.weight * v1 * a_star)) == pytest.approx(
+                    target, rel=1e-12
+                )
+                if check_b:
+                    b_star = ascent_direction_phi2(model, v1, w, de)
+                    assert float(np.sum(model.weight * v2 * b_star)) == pytest.approx(
+                        target, rel=1e-12
+                    )
+    # on the abelian grids A* and B* are one correlation with the roles of
+    # phi1 and phi2 swapped
+    for model in [
+        make_integer_line(6),
+        make_real_line(0.25, 2.0),
+        make_torus(10),
+        make_plane(0.5, 1.5),
+    ]:
+        for de in (0.0, 0.4):
+            v1, v2 = rng.random(model.shape), rng.random(model.shape)
+            w = _convolve(model, v1, v2, de, False).dual_power(1.0 / 3.0)
+            f = rng.random(model.shape)
+            np.testing.assert_array_equal(
+                ascent_direction_phi1(model, f, w, de),
+                ascent_direction_phi2(model, f, w, de),
+            )
