@@ -237,7 +237,7 @@ def cmd_catalog(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_MODEL
-    ex = young_p(args.p1, args.p2)
+    ex = _parse_triple(args)
     report = catalog_consistency_check(catalog, ex)
     entries = []
     lines = []
@@ -292,19 +292,23 @@ def cmd_report(args) -> int:
         for idx, trace in enumerate(payload.get("ratio_trace", [])):
             writer.writerow([idx, trace[-1] if trace else math.nan])
         return EXIT_OK
-    lines = [
-        f"group: {payload['group']}",
-        f"exponents: p1={payload['exponents']['p1']} p2={payload['exponents']['p2']} "
-        f"p={payload['exponents']['p']}",
-        f"lower bound: {payload['lower_bound']:.6f}",
-        f"restarts: {payload['restarts']}  best: {payload['best_restart']}  "
-        f"converged: {payload['converged']}",
-        f"truncation mass: {payload['truncation_mass']:.3e}",
-        "upper references: "
-        + ", ".join(
-            f"{r['source']}={r['value']:.6f}" for r in payload["upper_bound_refs"]
-        ),
-    ]
+    try:
+        lines = [
+            f"group: {payload['group']}",
+            f"exponents: p1={payload['exponents']['p1']} p2={payload['exponents']['p2']} "
+            f"p={payload['exponents']['p']}",
+            f"lower bound: {payload['lower_bound']:.6f}",
+            f"restarts: {payload['restarts']}  best: {payload['best_restart']}  "
+            f"converged: {payload['converged']}",
+            f"truncation mass: {payload['truncation_mass']:.3e}",
+            "upper references: "
+            + ", ".join(
+                f"{r['source']}={r['value']:.6f}" for r in payload["upper_bound_refs"]
+            ),
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        print(f"error: not an estimate report: {exc!r}", file=sys.stderr)
+        return EXIT_BAD_MODEL
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:

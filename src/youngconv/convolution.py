@@ -19,6 +19,7 @@ applies as a batched 1-d convolution.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -199,45 +200,46 @@ def twisted_convolve(
 
 
 def _convolve(model, v1, v2, de, enlarged=True):
-    if isinstance(model, FiniteGroup):
-        return _finite_convolve(model, v1, v2, de)
-    if isinstance(model, IntegerLineModel):
-        vals = np.convolve(v1, v2)
-        return CellConvolution(model, vals, np.ones_like(vals))
-    if isinstance(model, RealLineModel):
-        knots = np.concatenate(([0.0], model.h * np.convolve(v1, v2), [0.0]))
-        return LinePWL(model, -2.0 * model.half_width, model.h, knots)
-    if isinstance(model, TorusModel):
-        full = np.convolve(v1, v2)
-        folded = np.bincount(
-            np.arange(full.size) % model.n, weights=full, minlength=model.n
-        )
-        # knot k sits at position k*h and collects pairs with i+j = k-1 mod n
-        return TorusPWL(model, model.h * np.roll(folded, 1))
-    if isinstance(model, PlaneModel):
-        core = model.h * model.h * fftconvolve(v1, v2)
-        knots = np.zeros((core.shape[0] + 2, core.shape[1] + 2))
-        knots[1:-1, 1:-1] = core
-        return PlanePWL(model, -2.0 * model.half_width, model.h, knots)
-    if isinstance(model, AffineModel):
-        return _affine_convolve(model, v1, v2, de, enlarged)
-    raise GroupModelError(f"unsupported model kind {model.kind}")
+    return _KERNELS[type(model)].convolve(model, v1, v2, de, enlarged)
 
 
-def _finite_conv_index(model: FiniteGroup):
-    cached = getattr(model, "_conv_index", None)
-    if cached is None:
-        cached = model.table[model.inv, :]
-        model._conv_index = cached
-    return cached
+def _integer_line_convolve(model, v1, v2, de, enlarged):
+    vals = np.convolve(v1, v2)
+    return CellConvolution(model, vals, np.ones_like(vals))
 
 
-def _finite_convolve(model, v1, v2, de):
-    lookup = _finite_conv_index(model)  # lookup[i, k] = index of g_i^{-1} g_k
+def _real_line_convolve(model, v1, v2, de, enlarged):
+    knots = np.concatenate(([0.0], model.h * np.convolve(v1, v2), [0.0]))
+    return LinePWL(model, -2.0 * model.half_width, model.h, knots)
+
+
+def _torus_convolve(model, v1, v2, de, enlarged):
+    full = np.convolve(v1, v2)
+    folded = np.bincount(np.arange(full.size) % model.n, weights=full, minlength=model.n)
+    # knot k sits at position k*h and collects pairs with i+j = k-1 mod n
+    return TorusPWL(model, model.h * np.roll(folded, 1))
+
+
+def _plane_convolve(model, v1, v2, de, enlarged):
+    core = model.h * model.h * fftconvolve(v1, v2)
+    knots = np.zeros((core.shape[0] + 2, core.shape[1] + 2))
+    knots[1:-1, 1:-1] = core
+    return PlanePWL(model, -2.0 * model.half_width, model.h, knots)
+
+
+def _finite_kernel(model: FiniteGroup, v2, de):
+    """kernel[i, k] = phi2(g_i^-1 g_k) Delta(g_i^-1 g_k)^de."""
+    lookup = getattr(model, "_conv_index", None)
+    if lookup is None:
+        lookup = model._conv_index = model.table[model.inv, :]
     kernel = v2[lookup]
     if de != 0.0:
         kernel = kernel * model.delta[lookup] ** de
-    return CellConvolution(model, v1 @ kernel, model.weight)
+    return kernel
+
+
+def _finite_convolve(model, v1, v2, de, enlarged=True):
+    return CellConvolution(model, v1 @ _finite_kernel(model, v2, de), model.weight)
 
 
 def _affine_out_b_grid(model: AffineModel):
@@ -249,6 +251,19 @@ def _affine_out_b_grid(model: AffineModel):
     n_out = 2 * kb
     centers = (np.arange(n_out) - kb + 0.5) * model.h_b
     return centers
+
+
+def _affine_kernel_cols(model: AffineModel, out_b):
+    """Cell column of e^{-u_i} x_d for every carrier row i and every b offset
+    x_d from the carrier to the output grid ``out_b``, clipped to the window,
+    with the mask of columns that fall inside it."""
+    nb = model.n_b
+    d = np.arange(nb + out_b.size - 1) - (nb - 1)
+    x_d = (out_b[0] - model.b_centers[0]) + d * model.h_b
+    args = np.exp(-model.u_centers)[:, None] * x_d[None, :]  # e^{-u_i} is Delta at row i
+    col = np.floor((args + model.b_half_width) / model.h_b).astype(int)
+    valid = (col >= 0) & (col < nb)
+    return np.clip(col, 0, nb - 1), valid
 
 
 def _affine_convolve(model: AffineModel, v1, v2, de, enlarged):
@@ -265,15 +280,8 @@ def _affine_convolve(model: AffineModel, v1, v2, de, enlarged):
         out_b = model.b_centers
         row_shift = ku  # row m = i + r - ku
     n_rows, n_out = out_u.size, out_b.size
-    d = np.arange(nb + n_out - 1) - (nb - 1)
-    x_d = (out_b[0] - model.b_centers[0]) + d * h_b
-    scale = np.exp(-u)  # e^{-u_i}, also Delta at row i
-    args = scale[:, None] * x_d[None, :]
-    col = np.floor((args + model.b_half_width) / h_b).astype(int)
-    valid = (col >= 0) & (col < nb)
-    col = np.clip(col, 0, nb - 1)
-    u_mass = scale * 2.0 * math.sinh(h_u / 2.0) * h_b  # per-row cell mass
-    v1w = v1 * u_mass[:, None]
+    col, valid = _affine_kernel_cols(model, out_b)
+    v1w = v1 * model.weight
     psi = np.zeros((n_rows, n_out))
     for r in range(nu):
         row2 = v2[r]
@@ -325,13 +333,17 @@ def young_ratio(
     truncation diagnostics of the model.  Inputs are normalized before
     convolving so large values cannot overflow.
     """
+    return _normalized_convolve(phi1, phi2, ex, enlarged).lp_norm(ex.p)
+
+
+def _normalized_convolve(phi1, phi2, ex, enlarged=True) -> ConvolutionResult:
+    """The convolution whose p-norm young_ratio returns."""
     n1 = lp_norm(phi1, ex.p1)
     n2 = lp_norm(phi2, ex.p2)
     if n1 == 0.0 or n2 == 0.0:
         raise ValueError("young_ratio needs nonzero functions")
     de = float(_delta_exponent(ex))
-    conv = _convolve(phi1.model, phi1.values / n1, phi2.values / n2, de, enlarged)
-    return conv.lp_norm(ex.p)
+    return _convolve(phi1.model, phi1.values / n1, phi2.values / n2, de, enlarged)
 
 
 # ---------------------------------------------------------------------------
@@ -354,29 +366,33 @@ def transform_identity_check(
     model = phi1.model
     if phi2.model is not model:
         raise GroupModelError("functions live on different models")
+    return _KERNELS[type(model)].transform_residual(model, phi1.values, phi2.values, ex)
+
+
+def _finite_residual(model, v1, v2, ex):
     de = float(_delta_exponent(ex))
     inv_p = float(ex.p.inv)
     inv_p2 = float(ex.p2.inv)
-    if isinstance(model, FiniteGroup):
-        lhs = _finite_convolve(model, phi1.values, phi2.values, de).values
-        a = phi2.values[model.inv] / model.delta**inv_p2
-        b = phi1.values[model.inv] / model.delta**inv_p
-        conv0 = _finite_convolve(model, a, b, 0.0).values
-        rhs = conv0[model.inv] * model.delta ** (-inv_p)
-        return _max_rel(lhs, rhs)
-    if isinstance(model, (RealLineModel, IntegerLineModel)):
-        lhs = np.convolve(phi1.values, phi2.values)
-        rhs = np.convolve(phi2.values[::-1], phi1.values[::-1])[::-1]
-        return _max_rel(lhs, rhs)
-    if isinstance(model, TorusModel):
-        lhs = _convolve(model, phi1.values, phi2.values, 0.0).values
-        rev = _convolve(model, phi2.values[::-1], phi1.values[::-1], 0.0).values
-        # circle inversion maps edge knot k to edge knot -k mod n
-        rhs = np.roll(rev[::-1], 1)
-        return _max_rel(lhs, rhs)
-    if isinstance(model, AffineModel):
-        return _affine_transform_residual(model, phi1.values, phi2.values, ex)
-    raise GroupModelError(f"unsupported model kind {model.kind}")
+    lhs = _finite_convolve(model, v1, v2, de).values
+    a = model.invert(v2) / model.delta**inv_p2
+    b = model.invert(v1) / model.delta**inv_p
+    conv0 = _finite_convolve(model, a, b, 0.0).values
+    rhs = model.invert(conv0) * model.delta ** (-inv_p)
+    return _max_rel(lhs, rhs)
+
+
+def _grid_residual(model, v1, v2, ex):
+    """Line, integer line and plane: Delta = 1 and inversion reverses every
+    axis of the carrier and of the convolution's support."""
+    conv = np.convolve if v1.ndim == 1 else fftconvolve
+    return _max_rel(conv(v1, v2), np.flip(conv(np.flip(v2), np.flip(v1))))
+
+
+def _torus_residual(model, v1, v2, ex):
+    lhs = _torus_convolve(model, v1, v2, 0.0, True).values
+    rev = _torus_convolve(model, v2[::-1], v1[::-1], 0.0, True).values
+    # circle inversion maps edge knot k to edge knot -k mod n
+    return _max_rel(lhs, np.roll(rev[::-1], 1))
 
 
 def _max_rel(lhs, rhs):
@@ -400,7 +416,7 @@ def _interp_rows(values, rows, b_positions, b0, h_b):
     return left * (1.0 - t) + right * t
 
 
-def _affine_transform_residual(model, v1, v2, ex):
+def _affine_residual(model, v1, v2, ex):
     """Both sides of the reversal identity on the carrier; the u coordinate
     of every inverse lands exactly on the lattice and the b coordinate is
     read by linear interpolation (the identity concerns the underlying
@@ -462,70 +478,57 @@ def _centered_integrals_2d(values, h):
     return (h / 8.0) * (pad2[:, :-2] + 6.0 * pad2[:, 1:-1] + pad2[:, 2:])
 
 
-def _cyclic_correlate(a, b):
-    """out[k] = sum_j b[j] a[(j + k) mod n], n = len(a) = len(b)."""
-    n = a.size
-    full = np.convolve(np.concatenate((a, a)), b[::-1])
-    return full[n - 1 : 2 * n - 1]
-
-
 def ascent_direction_phi1(model, phi2_vals, w, de):
     """A* w on the carrier; the proposal direction for the first argument."""
-    if isinstance(model, FiniteGroup):
-        lookup = _finite_conv_index(model)
-        kernel = phi2_vals[lookup]
-        if de != 0.0:
-            kernel = kernel * model.delta[lookup] ** de
-        return kernel @ w.values
-    if isinstance(model, IntegerLineModel):
-        n = model.size
-        full = np.convolve(w.values, phi2_vals[::-1])
-        return full[n - 1 : 2 * n - 1]
-    if isinstance(model, RealLineModel):
-        n = model.size
-        windows = centered_integrals(w.values, model.h)
-        full = np.convolve(windows, phi2_vals[::-1])
-        return full[n : 2 * n]
-    if isinstance(model, TorusModel):
-        windows = _centered_integrals_cyclic(w.values, model.h)
-        return _cyclic_correlate(np.roll(windows, -1), phi2_vals)
-    if isinstance(model, PlaneModel):
-        n = model.centers.size
-        windows = _centered_integrals_2d(w.values, model.h)
-        full = fftconvolve(windows, phi2_vals[::-1, ::-1])
-        return full[n : 2 * n, n : 2 * n]
-    if isinstance(model, AffineModel):
-        return _affine_ascent_phi1(model, phi2_vals, w, de)
-    raise GroupModelError(f"unsupported model kind {model.kind}")
+    return _KERNELS[type(model)].adjoint_phi1(model, phi2_vals, w, de)
 
 
 def ascent_direction_phi2(model, phi1_vals, w, de):
     """B* w on the carrier; the proposal direction for the second argument."""
-    if isinstance(model, FiniteGroup):
-        out = phi1_vals @ w.values[model.table]
-        if de != 0.0:
-            out = out * model.delta**de
-        return out
-    if isinstance(model, IntegerLineModel):
-        n = model.size
-        full = np.convolve(w.values, phi1_vals[::-1])
-        return full[n - 1 : 2 * n - 1]
-    if isinstance(model, RealLineModel):
-        n = model.size
-        windows = centered_integrals(w.values, model.h)
-        full = np.convolve(windows, phi1_vals[::-1])
-        return full[n : 2 * n]
-    if isinstance(model, TorusModel):
-        windows = _centered_integrals_cyclic(w.values, model.h)
-        return _cyclic_correlate(np.roll(windows, -1), phi1_vals)
-    if isinstance(model, PlaneModel):
-        n = model.centers.size
-        windows = _centered_integrals_2d(w.values, model.h)
-        full = fftconvolve(windows, phi1_vals[::-1, ::-1])
-        return full[n : 2 * n, n : 2 * n]
-    if isinstance(model, AffineModel):
-        return _affine_ascent_phi2(model, phi1_vals, w, de)
-    raise GroupModelError(f"unsupported model kind {model.kind}")
+    return _KERNELS[type(model)].adjoint_phi2(model, phi1_vals, w, de)
+
+
+def _finite_ascent_phi1(model, phi2_vals, w, de):
+    return _finite_kernel(model, phi2_vals, de) @ w.values
+
+
+def _finite_ascent_phi2(model, phi1_vals, w, de):
+    out = phi1_vals @ w.values[model.table]
+    if de != 0.0:
+        out = out * model.delta**de
+    return out
+
+
+# On the abelian grids Delta = 1 and A* w, B* w are one correlation of the
+# dual with the other argument, so each grid has a single adjoint kernel.
+
+
+def _integer_line_correlate(model, f, w, de):
+    n = model.size
+    full = np.convolve(w.values, f[::-1])
+    return full[n - 1 : 2 * n - 1]
+
+
+def _real_line_correlate(model, f, w, de):
+    n = model.size
+    windows = centered_integrals(w.values, model.h)
+    full = np.convolve(windows, f[::-1])
+    return full[n : 2 * n]
+
+
+def _torus_correlate(model, f, w, de):
+    # out[k] = sum_j f[j] a[(j + k) mod n] for the shifted window integrals a
+    n = model.n
+    a = np.roll(_centered_integrals_cyclic(w.values, model.h), -1)
+    full = np.convolve(np.concatenate((a, a)), f[::-1])
+    return full[n - 1 : 2 * n - 1]
+
+
+def _plane_correlate(model, f, w, de):
+    n = model.centers.size
+    windows = _centered_integrals_2d(w.values, model.h)
+    full = fftconvolve(windows, f[::-1, ::-1])
+    return full[n : 2 * n, n : 2 * n]
 
 
 def _affine_ascent_phi1(model: AffineModel, v2, w: AffineConvolution, de):
@@ -536,20 +539,13 @@ def _affine_ascent_phi1(model: AffineModel, v2, w: AffineConvolution, de):
     per-r batches; along b it is a correlation against the dilated,
     step-sampled phi2 row.
     """
-    h_b = model.h_b
     nu, nb = model.n_u, model.n_b
     u = model.u_centers
     ku = (nu - 1) // 2
     base = int(round(w.u_points[0] / model.h_u))
     n_out = w.b_centers.size
     ww = w.values * w.weight
-    d = np.arange(nb + n_out - 1) - (nb - 1)
-    x_d = (w.b_centers[0] - model.b_centers[0]) + d * h_b
-    scale = np.exp(-u)
-    args = scale[:, None] * x_d[None, :]
-    col = np.floor((args + model.b_half_width) / h_b).astype(int)
-    valid = (col >= 0) & (col < nb)
-    col = np.clip(col, 0, nb - 1)
+    col, valid = _affine_kernel_cols(model, w.b_centers)
     out = np.zeros((nu, nb))
     n_rows = w.values.shape[0]
     for r in range(nu):
@@ -583,8 +579,7 @@ def _affine_ascent_phi2(model: AffineModel, v1, w: AffineConvolution, de):
     base = int(round(w.u_points[0] / model.h_u))
     n_w = w.b_centers.size
     n_rows = w.values.shape[0]
-    u_mass = np.exp(-u) * 2.0 * math.sinh(model.h_u / 2.0) * h_b
-    v1w = v1 * u_mass[:, None]
+    v1w = v1 * model.weight
     # gather index of e^{u_i} b_c inside the correlation, one row per i
     targets = np.exp(u)[:, None] * model.b_centers[None, :]
     rel = (targets + (model.b_centers[0] - w.b_centers[0])) / h_b + 0.5
@@ -607,3 +602,38 @@ def _affine_ascent_phi2(model: AffineModel, v1, w: AffineConvolution, de):
         dfac = math.exp(-de * u[c]) if de != 0.0 else 1.0
         out[c] = dfac * acc
     return out
+
+
+# ---------------------------------------------------------------------------
+# the per-kind kernel table: a new model kind adds one entry here
+
+
+_Kernels = namedtuple("_Kernels", "convolve adjoint_phi1 adjoint_phi2 transform_residual")
+
+
+class _KernelTable(dict):
+    def __missing__(self, cls):
+        raise GroupModelError(f"unsupported model kind {cls.kind}")
+
+
+_KERNELS = _KernelTable({
+    FiniteGroup: _Kernels(
+        _finite_convolve, _finite_ascent_phi1, _finite_ascent_phi2, _finite_residual
+    ),
+    IntegerLineModel: _Kernels(
+        _integer_line_convolve, _integer_line_correlate, _integer_line_correlate,
+        _grid_residual,
+    ),
+    RealLineModel: _Kernels(
+        _real_line_convolve, _real_line_correlate, _real_line_correlate, _grid_residual
+    ),
+    TorusModel: _Kernels(
+        _torus_convolve, _torus_correlate, _torus_correlate, _torus_residual
+    ),
+    PlaneModel: _Kernels(
+        _plane_convolve, _plane_correlate, _plane_correlate, _grid_residual
+    ),
+    AffineModel: _Kernels(
+        _affine_convolve, _affine_ascent_phi1, _affine_ascent_phi2, _affine_residual
+    ),
+})

@@ -24,10 +24,10 @@ from .groups import AffineModel, GroupFunction, GroupModel
 from .convolution import (
     _convolve,
     _delta_exponent,
+    _normalized_convolve,
     ascent_direction_phi1,
     ascent_direction_phi2,
     lp_norm,
-    young_ratio,
 )
 
 
@@ -55,6 +55,7 @@ class RestartResult:
     converged: bool
     trace: list
     pair: tuple
+    truncation_mass: float
 
 
 @dataclass
@@ -120,36 +121,6 @@ def _normalize(model, values, p: Exponent):
     return (values / norm, norm) if norm > 0 else (values, 0.0)
 
 
-def _random_start(model: GroupModel, rng):
-    """Nonnegative random start; continuum kinds get a random bump envelope
-    so mass begins away from the window edge."""
-    noise = 0.25 + rng.random(model.shape)
-    kind = model.kind
-    if kind in ("finite", "integer_line", "torus_grid"):
-        return noise
-    if kind == "real_line_steps":
-        x = model.centers
-        c = rng.uniform(-0.2, 0.2) * model.half_width
-        s = rng.uniform(0.2, 0.6) * model.half_width
-        return noise * np.exp(-((x - c) ** 2) / (2 * s * s))
-    if kind == "product":
-        x = model.centers
-        c = rng.uniform(-0.2, 0.2, size=2) * model.half_width
-        s = rng.uniform(0.2, 0.6) * model.half_width
-        env = np.exp(-((x[:, None] - c[0]) ** 2 + (x[None, :] - c[1]) ** 2) / (2 * s * s))
-        return noise * env
-    if kind == "affine_grid":
-        uu = model.u_centers[:, None]
-        bb = model.b_centers[None, :]
-        cu = rng.uniform(-0.2, 0.2) * model.u_half_width
-        cb = rng.uniform(-0.2, 0.2) * model.b_half_width
-        su = rng.uniform(0.2, 0.5) * model.u_half_width
-        sb = rng.uniform(0.2, 0.5) * model.b_half_width
-        env = np.exp(-((uu - cu) ** 2) / (2 * su * su) - ((bb - cb) ** 2) / (2 * sb * sb))
-        return noise * env
-    raise ValueError(f"unsupported model kind {kind}")
-
-
 def _loop_ratio(model, v1, v2, de, p: Exponent) -> float:
     """Ratio of normalized iterates via the in-loop convolution path."""
     return _convolve(model, v1, v2, de, enlarged=False).lp_norm(p)
@@ -161,8 +132,8 @@ def _run_restart(model, ex: YoungExponents, cfg, restart_index):
     p1f, p2f, pf = float(ex.p1), float(ex.p2), float(ex.p)
     reinits = 0
     while True:
-        v1, n1 = _normalize(model, _random_start(model, rng), ex.p1)
-        v2, n2 = _normalize(model, _random_start(model, rng), ex.p2)
+        v1, n1 = _normalize(model, model.random_start(rng), ex.p1)
+        v2, n2 = _normalize(model, model.random_start(rng), ex.p2)
         ratio = _loop_ratio(model, v1, v2, de, ex.p)
         if ratio > 0 or reinits >= 8:
             break
@@ -178,8 +149,8 @@ def _run_restart(model, ex: YoungExponents, cfg, restart_index):
         for side in (1, 2):
             psi = _convolve(model, v1, v2, de, enlarged=False)
             if not np.any(psi.values):
-                v1, _ = _normalize(model, _random_start(model, rng), ex.p1)
-                v2, _ = _normalize(model, _random_start(model, rng), ex.p2)
+                v1, _ = _normalize(model, model.random_start(rng), ex.p1)
+                v2, _ = _normalize(model, model.random_start(rng), ex.p2)
                 ratio = _loop_ratio(model, v1, v2, de, ex.p)
                 break
             w = psi.dual_power(pf - 1.0)
@@ -221,10 +192,11 @@ def _run_restart(model, ex: YoungExponents, cfg, restart_index):
         if ratio > 0 and (ratio - anchor) <= cfg.tol * max(anchor, 1e-300):
             converged = True
             break
-    certified = young_ratio(
-        GroupFunction(model, v1), GroupFunction(model, v2), ex
+    certified = _normalized_convolve(GroupFunction(model, v1), GroupFunction(model, v2), ex)
+    return RestartResult(
+        restart_index, certified.lp_norm(ex.p), iterations, converged, trace, (v1, v2),
+        certified.truncation_mass,
     )
-    return RestartResult(restart_index, certified, iterations, converged, trace, (v1, v2))
 
 
 def estimate(
@@ -251,13 +223,6 @@ def estimate(
         raise ValueError("empty carrier")
     results = [_run_restart(model, ex, cfg, k) for k in range(cfg.restarts)]
     best = max(results, key=lambda r: (r.ratio, -r.index))
-    final_conv = _convolve(
-        model,
-        best.pair[0] / lp_norm(GroupFunction(model, best.pair[0]), ex.p1),
-        best.pair[1] / lp_norm(GroupFunction(model, best.pair[1]), ex.p2),
-        float(_delta_exponent(ex)),
-        enlarged=True,
-    )
     refs = [("classical", 1.0)]
     if upper_bound_refs:
         refs.extend(upper_bound_refs)
@@ -271,7 +236,7 @@ def estimate(
         restarts=cfg.restarts,
         converged=all(r.converged for r in results),
         ratio_trace=[r.trace for r in results],
-        truncation_mass=final_conv.truncation_mass,
+        truncation_mass=best.truncation_mass,
         upper_bound_refs=refs,
         config=cfg.as_dict(),
         restart_results=results,
@@ -346,92 +311,26 @@ def boundary_witness(model: GroupModel, ex: YoungExponents, phi=None):
     if not ex.p.is_inf:
         raise ValueError("witness construction needs 1/p1 + 1/p2 = 1")
     inv1, inv2 = float(ex.p1.inv), float(ex.p2.inv)
-    if isinstance(model, AffineModel):
-        uu = model.u_centers[:, None]
-        bb = model.b_centers[None, :]
-        # the default bump keeps its inverse inside the window: inversion
-        # stretches b-support by e^U, so the width budget shrinks by that
-        su = 0.3 * model.u_half_width
-        sb = 0.28 * model.b_half_width * math.exp(-model.u_half_width)
-        if phi is None:
-            phi_vals = np.exp(-(uu**2) / (2 * su * su) - (bb**2) / (2 * sb * sb))
-        else:
-            phi_vals = np.asarray(phi, dtype=float)
-        mass = float(np.sum(model.weight * phi_vals))
-        phi_vals = phi_vals / mass
-        delta = model.delta
-        # phi(g^-1) evaluated analytically when phi is the default bump
-        if phi is None:
-            inv_b = -np.exp(-uu) * bb
-            phi_inv = (
-                np.exp(-(uu**2) / (2 * su * su) - (inv_b**2) / (2 * sb * sb)) / mass
-            )
-        else:
-            iu = model.u_index(-uu + 0.0 * bb)
-            ib = model.b_index(-np.exp(-uu) * bb)
-            ok = (iu >= 0) & (ib >= 0)
-            phi_inv = np.where(
-                ok, phi_vals[np.clip(iu, 0, None), np.clip(ib, 0, None)], 0.0
-            )
-        phi1 = phi_vals**inv1 if inv1 > 0 else np.ones_like(phi_vals)
-        phi2 = (phi_inv / delta) ** inv2 if inv2 > 0 else np.ones_like(phi_vals)
-        # psi(e) = int phi1(g) phi2(g^-1) Delta(g^-1)^(1/p1') dg, 1/p1' = 1/p2
-        phi2_inv = (phi_vals * delta) ** inv2 if inv2 > 0 else np.ones_like(phi_vals)
-        de_pow = delta ** (-inv2)
-        value_at_e = float(np.sum(model.weight * phi1 * phi2_inv * de_pow))
+    vals = model.default_bump() if phi is None else np.asarray(phi, dtype=float)
+    if isinstance(model, AffineModel) and phi is None:
+        # inversion bends b off the grid; the default bump's phi(g^-1) is
+        # exact in closed form, where cell lookup would be O(h) off
+        inv_vals = model.default_bump(-np.exp(-model.u_centers[:, None]) * model.b_centers)
     else:
-        vals = phi if phi is not None else _default_bump(model)
-        vals = np.asarray(vals, dtype=float)
-        mass = float(np.sum(model.weight * vals))
-        vals = vals / mass
-        inv_vals = _invert_values(model, vals)
-        delta = model.delta
-        phi1 = vals**inv1 if inv1 > 0 else np.ones_like(vals)
-        phi2 = (inv_vals / delta) ** inv2 if inv2 > 0 else np.ones_like(vals)
-        phi2_at_inv = _invert_values(model, phi2)
-        delta_inv = _invert_values(model, delta)
-        value_at_e = float(
-            np.sum(model.weight * phi1 * phi2_at_inv * delta_inv**inv2)
-        )
+        inv_vals = model.invert(vals)
+    mass = float(np.sum(model.weight * vals))
+    vals, inv_vals = vals / mass, inv_vals / mass
+    delta = model.delta
+    phi1 = vals**inv1 if inv1 > 0 else np.ones_like(vals)
+    phi2 = (inv_vals / delta) ** inv2 if inv2 > 0 else np.ones_like(vals)
+    # psi(e) = int phi1(g) phi2(g^-1) Delta(g^-1)^(1/p1') dg with 1/p1' = 1/p2
+    # and phi2(g^-1) = (phi(g) Delta(g))^(1/p2), which needs no inversion
+    phi2_inv = (vals * delta) ** inv2 if inv2 > 0 else np.ones_like(vals)
+    value_at_e = float(np.sum(model.weight * phi1 * phi2_inv * delta ** (-inv2)))
     f1 = GroupFunction(model, phi1)
     f2 = GroupFunction(model, phi2)
     ratio = value_at_e / (lp_norm(f1, ex.p1) * lp_norm(f2, ex.p2))
     return f1, f2, ratio
-
-
-def _default_bump(model):
-    kind = model.kind
-    if kind in ("finite", "integer_line", "torus_grid"):
-        idx = np.arange(model.size, dtype=float).reshape(model.shape)
-        return 1.0 + 0.5 * np.cos(2.0 * np.pi * idx / model.size)
-    if kind == "real_line_steps":
-        s = 0.3 * model.half_width
-        return np.exp(-model.centers**2 / (2 * s * s))
-    if kind == "product":
-        s = 0.3 * model.half_width
-        x = model.centers
-        return np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / (2 * s * s))
-    raise ValueError(f"no default bump for kind {kind}")
-
-
-def _invert_values(model, vals):
-    from .groups import (
-        FiniteGroup,
-        IntegerLineModel,
-        PlaneModel,
-        RealLineModel,
-        TorusModel,
-    )
-
-    if isinstance(model, FiniteGroup):
-        return vals[model.inv]
-    if isinstance(model, (RealLineModel, IntegerLineModel)):
-        return vals[::-1]
-    if isinstance(model, PlaneModel):
-        return vals[::-1, ::-1]
-    if isinstance(model, TorusModel):
-        return vals[::-1]
-    raise ValueError(f"cannot invert on kind {model.kind}")
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,12 @@ class GroupModelError(ValueError):
 
 
 class GroupModel:
-    """Base class; concrete kinds fill in carrier geometry."""
+    """Base class; concrete kinds fill in carrier geometry.
+
+    The default inversion reverses every axis, as on the symmetric abelian
+    grids; the default random start and bump carry no envelope, as on
+    finite groups, the integer line and the torus.  Other kinds override.
+    """
 
     kind = "abstract"
 
@@ -61,6 +66,19 @@ class GroupModel:
 
     def function(self, values) -> "GroupFunction":
         return GroupFunction(self, values)
+
+    def invert(self, values):
+        """phi(g^-1) on the carrier; inversion reverses every axis."""
+        return np.flip(values)
+
+    def random_start(self, rng):
+        """Nonnegative random start for the estimator."""
+        return 0.25 + rng.random(self.shape)
+
+    def default_bump(self):
+        """Positive bump for the boundary witness."""
+        idx = np.arange(self.size, dtype=float).reshape(self.shape)
+        return 1.0 + 0.5 * np.cos(2.0 * np.pi * idx / self.size)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name} ({self.size} cells)>"
@@ -106,6 +124,9 @@ class FiniteGroup(GroupModel):
 
     def inv_index(self, i: int) -> int:
         return int(self.inv[i])
+
+    def invert(self, values):
+        return values[self.inv]
 
 
 def _validate_group_table(table, name):
@@ -228,6 +249,19 @@ class RealLineModel(GroupModel):
         self.centers = -self.half_width + (np.arange(n) + 0.5) * self.h
         super().__init__(f"R[h={h},L={half_width}]", np.full(n, self.h), np.ones(n))
 
+    def random_start(self, rng):
+        """Noise under a random bump envelope, so mass begins away from the
+        window edge."""
+        noise = super().random_start(rng)
+        x = self.centers
+        c = rng.uniform(-0.2, 0.2) * self.half_width
+        s = rng.uniform(0.2, 0.6) * self.half_width
+        return noise * np.exp(-((x - c) ** 2) / (2 * s * s))
+
+    def default_bump(self):
+        s = 0.3 * self.half_width
+        return np.exp(-self.centers**2 / (2 * s * s))
+
 
 def make_real_line(h, half_width) -> RealLineModel:
     return RealLineModel(h, half_width)
@@ -252,7 +286,10 @@ def make_integer_line(half_width: int) -> IntegerLineModel:
 
 
 class TorusModel(GroupModel):
-    """R/Z with n cells of width 1/n (compact, total mass 1)."""
+    """R/Z with n cells of width 1/n (compact, total mass 1).
+
+    -(j + 1/2)/n mod 1 is the center n-1-j, so inversion is reversal.
+    """
 
     kind = "torus_grid"
 
@@ -282,6 +319,19 @@ class PlaneModel(GroupModel):
         self.centers = -self.half_width + (np.arange(n) + 0.5) * self.h
         weight = np.full((n, n), self.h * self.h)
         super().__init__(f"R2[h={h},L={half_width}]", weight, np.ones((n, n)))
+
+    def random_start(self, rng):
+        noise = super().random_start(rng)
+        x = self.centers
+        c = rng.uniform(-0.2, 0.2, size=2) * self.half_width
+        s = rng.uniform(0.2, 0.6) * self.half_width
+        env = np.exp(-((x[:, None] - c[0]) ** 2 + (x[None, :] - c[1]) ** 2) / (2 * s * s))
+        return noise * env
+
+    def default_bump(self):
+        s = 0.3 * self.half_width
+        x = self.centers
+        return np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / (2 * s * s))
 
 
 def make_plane(h, half_width) -> PlaneModel:
@@ -353,6 +403,37 @@ class AffineModel(GroupModel):
     def delta_at(self, g):
         return math.exp(-g[0])
 
+    def invert(self, values):
+        """phi(g^-1) by cell lookup; 0 where the inverse leaves the window."""
+        uu, bb = np.meshgrid(self.u_centers, self.b_centers, indexing="ij")
+        iu = self.u_index(-uu)
+        ib = self.b_index(-np.exp(-uu) * bb)
+        inside = (iu >= 0) & (ib >= 0)
+        return np.where(inside, values[np.clip(iu, 0, None), np.clip(ib, 0, None)], 0.0)
+
+    def random_start(self, rng):
+        noise = super().random_start(rng)
+        uu = self.u_centers[:, None]
+        bb = self.b_centers[None, :]
+        cu = rng.uniform(-0.2, 0.2) * self.u_half_width
+        cb = rng.uniform(-0.2, 0.2) * self.b_half_width
+        su = rng.uniform(0.2, 0.5) * self.u_half_width
+        sb = rng.uniform(0.2, 0.5) * self.b_half_width
+        env = np.exp(-((uu - cu) ** 2) / (2 * su * su) - ((bb - cb) ** 2) / (2 * sb * sb))
+        return noise * env
+
+    def default_bump(self, b=None):
+        """Gaussian bump at the carrier's rows, evaluated at b-coordinates
+        ``b`` (default: the cell centers).  Its inverse stays inside the
+        window: inversion stretches b-support by e^U, so the b width budget
+        shrinks by that.  The bump is even in u, so phi(g^-1) is exactly
+        ``default_bump(-exp(-u) b)``."""
+        uu = self.u_centers[:, None]
+        bb = self.b_centers[None, :] if b is None else b
+        su = 0.3 * self.u_half_width
+        sb = 0.28 * self.b_half_width * math.exp(-self.u_half_width)
+        return np.exp(-(uu**2) / (2 * su * su) - (bb**2) / (2 * sb * sb))
+
 
 def make_affine_group(h_u, u_half_width, h_b, b_half_width) -> AffineModel:
     return AffineModel(h_u, u_half_width, h_b, b_half_width)
@@ -375,26 +456,5 @@ def check_modular_identity(model: GroupModel, phi: GroupFunction) -> float:
     if l1 == 0.0:
         return 0.0
     rhs = float(np.sum(model.weight * vals / model.delta))
-    if isinstance(model, FiniteGroup):
-        lhs = float(np.sum(model.weight * vals[model.inv]))
-    elif isinstance(model, (RealLineModel, IntegerLineModel, PlaneModel)):
-        lhs = float(np.sum(model.weight * vals[_reverse_index(vals.ndim)]))
-    elif isinstance(model, TorusModel):
-        # -(j + 1/2)/n mod 1 is the center n-1-j, so inversion is reversal
-        lhs = float(np.sum(model.weight * vals[::-1]))
-    elif isinstance(model, AffineModel):
-        uu, bb = np.meshgrid(model.u_centers, model.b_centers, indexing="ij")
-        inv_u = -uu
-        inv_b = -np.exp(-uu) * bb
-        iu = model.u_index(inv_u)
-        ib = model.b_index(inv_b)
-        inside = (iu >= 0) & (ib >= 0)
-        picked = np.where(inside, vals[np.clip(iu, 0, None), np.clip(ib, 0, None)], 0.0)
-        lhs = float(np.sum(model.weight * picked))
-    else:
-        raise GroupModelError(f"unsupported model kind {model.kind}")
+    lhs = float(np.sum(model.weight * model.invert(vals)))
     return abs(lhs - rhs) / l1
-
-
-def _reverse_index(ndim):
-    return tuple(slice(None, None, -1) for _ in range(ndim))

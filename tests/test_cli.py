@@ -35,6 +35,7 @@ def test_exact_boundary():
 def test_exit_code_bad_exponents():
     assert _run(["exact", "--p1", "1/2", "--p2", "2"]).returncode == 2
     assert _run(["estimate", "--group", "Zmod:8", "--p1", "junk", "--p2", "2"]).returncode == 2
+    assert _run(["catalog", "--p1", "1/2", "--p2", "2"]).returncode == 2
 
 
 def test_exit_code_unknown_catalog_name():
@@ -121,3 +122,12 @@ def test_report_roundtrip(tmp_path, capsys):
     assert main(["report", "--input", str(out), "--format", "csv"]) == 0
     csv_text = capsys.readouterr().out
     assert csv_text.startswith("restart,final_ratio")
+
+
+def test_report_missing_fields_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    for payload in ({"group": "Z/6"}, {"group": "Z/6", "exponents": "4/3"}, [1, 2]):
+        bad.write_text(json.dumps(payload))
+        for fmt in ("text", "json"):
+            assert main(["report", "--input", str(bad), "--format", fmt]) == 4
+            assert capsys.readouterr().err.startswith("error:")

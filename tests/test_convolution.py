@@ -169,11 +169,11 @@ def test_transform_identity_finite():
 
 
 def test_transform_identity_line_exact():
-    line = make_real_line(0.25, 2.0)
     rng = np.random.default_rng(9)
-    f1 = GroupFunction(line, rng.random(line.size))
-    f2 = GroupFunction(line, rng.random(line.size))
-    assert transform_identity_check(f1, f2, EX) <= 1e-12
+    for model in [make_real_line(0.25, 2.0), make_plane(0.5, 1.5)]:
+        f1 = GroupFunction(model, rng.random(model.shape))
+        f2 = GroupFunction(model, rng.random(model.shape))
+        assert transform_identity_check(f1, f2, EX) <= 1e-12
 
 
 def _affine_bumps(model, rng):
