@@ -286,12 +286,6 @@ def cmd_report(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read report: {exc}", file=sys.stderr)
         return EXIT_BAD_MODEL
-    if args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["restart", "final_ratio"])
-        for idx, trace in enumerate(payload.get("ratio_trace", [])):
-            writer.writerow([idx, trace[-1] if trace else math.nan])
-        return EXIT_OK
     try:
         lines = [
             f"group: {payload['group']}",
@@ -306,10 +300,18 @@ def cmd_report(args) -> int:
                 f"{r['source']}={r['value']:.6f}" for r in payload["upper_bound_refs"]
             ),
         ]
+        rows = [
+            [idx, trace[-1] if trace else math.nan]
+            for idx, trace in enumerate(payload.get("ratio_trace", []))
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: not an estimate report: {exc!r}", file=sys.stderr)
         return EXIT_BAD_MODEL
-    if args.format == "json":
+    if args.format == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(["restart", "final_ratio"])
+        writer.writerows(rows)
+    elif args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         for line in lines:

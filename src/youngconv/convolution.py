@@ -13,7 +13,8 @@ and destroy convergence of the lower bounds, so it is never used there.
 On the affine grid the convolution is a direct double sum over cells; the
 group is non-abelian so there is no FFT shortcut, but for each pair of
 log-scale rows the b-axis coupling is a Toeplitz matrix, which the code
-applies as a batched 1-d convolution.
+applies as a batched 1-d convolution.  An operand shared by every row of
+such a loop is transformed once and reused as a spectrum.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from collections import namedtuple
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from .exponents import Exponent, YoungExponents
 from .groups import (
@@ -39,6 +40,36 @@ from .groups import (
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _T01 = 0.5 * (_GL_NODES + 1.0)
 _W01 = 0.5 * _GL_WEIGHTS
+
+
+def fftconvolve(in1, in2, n=None):
+    """Full linear convolution of real arrays by FFT.
+
+    Without ``n`` it convolves over every axis and is, bit for bit, what
+    ``scipy.signal.fftconvolve`` computes in 'full' mode for real inputs
+    longer than 1 along each axis: rfftn of both inputs at ``next_fast_len``
+    of the full lengths, their product, irfftn and the 'full' slice.
+
+    With ``n`` it convolves along the last axis at FFT length n and returns
+    all n samples, of which the first len1 + len2 - 1 are the full
+    convolution.  Either input may then be its ``rfft(x, n)`` spectrum (a
+    complex array), so an operand shared by many calls is transformed once.
+    """
+    if n is not None:
+        sp1 = in1 if np.iscomplexobj(in1) else sp_fft.rfft(in1, n)
+        sp2 = in2 if np.iscomplexobj(in2) else sp_fft.rfft(in2, n)
+        return sp_fft.irfft(sp1 * sp2, n)
+    shape = [k1 + k2 - 1 for k1, k2 in zip(in1.shape, in2.shape)]
+    fshape = [sp_fft.next_fast_len(k, True) for k in shape]
+    spec = sp_fft.rfftn(in1, fshape) * sp_fft.rfftn(in2, fshape)
+    return sp_fft.irfftn(spec, fshape)[tuple(slice(k) for k in shape)]
+
+
+def _row_spectrum(values, full):
+    """FFT length for a row-wise convolution of full length ``full``, and the
+    rfft of every row of ``values`` at that length."""
+    nfft = sp_fft.next_fast_len(full, True)
+    return nfft, sp_fft.rfft(values, nfft)
 
 
 def _pf(p) -> float:
@@ -281,14 +312,14 @@ def _affine_convolve(model: AffineModel, v1, v2, de, enlarged):
         row_shift = ku  # row m = i + r - ku
     n_rows, n_out = out_u.size, out_b.size
     col, valid = _affine_kernel_cols(model, out_b)
-    v1w = v1 * model.weight
+    nfft, spec1 = _row_spectrum(v1 * model.weight, nb + col.shape[1] - 1)
     psi = np.zeros((n_rows, n_out))
     for r in range(nu):
         row2 = v2[r]
         if not np.any(row2):
             continue
         kern = np.where(valid, row2[col], 0.0)
-        contrib = fftconvolve(v1w, kern, axes=1)[:, nb - 1 : nb - 1 + n_out]
+        contrib = fftconvolve(spec1, kern, n=nfft)[:, nb - 1 : nb - 1 + n_out]
         dfac = math.exp(-de * u[r]) if de != 0.0 else 1.0
         lo = max(0, row_shift - r)
         hi = min(nu, n_rows + row_shift - r)
@@ -544,8 +575,8 @@ def _affine_ascent_phi1(model: AffineModel, v2, w: AffineConvolution, de):
     ku = (nu - 1) // 2
     base = int(round(w.u_points[0] / model.h_u))
     n_out = w.b_centers.size
-    ww = w.values * w.weight
     col, valid = _affine_kernel_cols(model, w.b_centers)
+    nfft, spec_w = _row_spectrum(w.values * w.weight, n_out + col.shape[1] - 1)
     out = np.zeros((nu, nb))
     n_rows = w.values.shape[0]
     for r in range(nu):
@@ -558,7 +589,7 @@ def _affine_ascent_phi1(model: AffineModel, v2, w: AffineConvolution, de):
         if lo >= hi:
             continue
         kern = np.where(valid[lo:hi], row2[col[lo:hi]], 0.0)
-        corr = fftconvolve(ww[lo + shift : hi + shift], kern[:, ::-1], axes=1)
+        corr = fftconvolve(spec_w[lo + shift : hi + shift], kern[:, ::-1], n=nfft)
         sel = corr[:, n_out - 1 : n_out - 1 + nb]
         dfac = math.exp(-de * u[r]) if de != 0.0 else 1.0
         out[lo:hi] += dfac * sel
@@ -580,6 +611,9 @@ def _affine_ascent_phi2(model: AffineModel, v1, w: AffineConvolution, de):
     n_w = w.b_centers.size
     n_rows = w.values.shape[0]
     v1w = v1 * model.weight
+    full = n_w + nb - 1
+    nfft, spec_w = _row_spectrum(w.values, full)
+    spec1 = sp_fft.rfft(v1w[:, ::-1], nfft)
     # gather index of e^{u_i} b_c inside the correlation, one row per i
     targets = np.exp(u)[:, None] * model.b_centers[None, :]
     rel = (targets + (model.b_centers[0] - w.b_centers[0])) / h_b + 0.5
@@ -591,13 +625,12 @@ def _affine_ascent_phi2(model: AffineModel, v1, w: AffineConvolution, de):
         hi = min(nu, n_rows - shift)
         if lo >= hi:
             continue
-        rows1 = v1w[lo:hi]
-        if not np.any(rows1):
+        if not np.any(v1w[lo:hi]):
             continue
-        corr = fftconvolve(w.values[lo + shift : hi + shift], rows1[:, ::-1], axes=1)
+        corr = fftconvolve(spec_w[lo + shift : hi + shift], spec1[lo:hi], n=nfft)
         idx = gather[lo:hi]
-        ok = (idx >= 0) & (idx < corr.shape[1])
-        vals = np.take_along_axis(corr, np.clip(idx, 0, corr.shape[1] - 1), axis=1)
+        ok = (idx >= 0) & (idx < full)
+        vals = np.take_along_axis(corr, np.clip(idx, 0, full - 1), axis=1)
         acc = np.where(ok, vals, 0.0).sum(axis=0)
         dfac = math.exp(-de * u[c]) if de != 0.0 else 1.0
         out[c] = dfac * acc

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .exponents import Exponent, YoungExponents
 from .groups import AffineModel, GroupFunction, GroupModel
@@ -121,9 +120,11 @@ def _normalize(model, values, p: Exponent):
     return (values / norm, norm) if norm > 0 else (values, 0.0)
 
 
-def _loop_ratio(model, v1, v2, de, p: Exponent) -> float:
-    """Ratio of normalized iterates via the in-loop convolution path."""
-    return _convolve(model, v1, v2, de, enlarged=False).lp_norm(p)
+def _loop_ratio(model, v1, v2, de, p: Exponent):
+    """Ratio of normalized iterates via the in-loop convolution path, and the
+    convolution it was read from."""
+    psi = _convolve(model, v1, v2, de, enlarged=False)
+    return psi.lp_norm(p), psi
 
 
 def _run_restart(model, ex: YoungExponents, cfg, restart_index):
@@ -134,7 +135,7 @@ def _run_restart(model, ex: YoungExponents, cfg, restart_index):
     while True:
         v1, n1 = _normalize(model, model.random_start(rng), ex.p1)
         v2, n2 = _normalize(model, model.random_start(rng), ex.p2)
-        ratio = _loop_ratio(model, v1, v2, de, ex.p)
+        ratio, psi = _loop_ratio(model, v1, v2, de, ex.p)
         if ratio > 0 or reinits >= 8:
             break
         reinits += 1
@@ -146,12 +147,12 @@ def _run_restart(model, ex: YoungExponents, cfg, restart_index):
     # the table either way, but the window keeps that slop near tol itself
     window = 64
     for iterations in range(1, cfg.max_iters + 1):
+        # psi is always the convolution of the current pair (v1, v2)
         for side in (1, 2):
-            psi = _convolve(model, v1, v2, de, enlarged=False)
             if not np.any(psi.values):
                 v1, _ = _normalize(model, model.random_start(rng), ex.p1)
                 v2, _ = _normalize(model, model.random_start(rng), ex.p2)
-                ratio = _loop_ratio(model, v1, v2, de, ex.p)
+                ratio, psi = _loop_ratio(model, v1, v2, de, ex.p)
                 break
             w = psi.dual_power(pf - 1.0)
             if side == 1:
@@ -175,7 +176,7 @@ def _run_restart(model, ex: YoungExponents, cfg, restart_index):
                 cand, norm = _normalize(model, blend, pexp)
                 if norm == 0.0:
                     continue
-                cand_ratio = (
+                cand_ratio, cand_psi = (
                     _loop_ratio(model, cand, v2, de, ex.p)
                     if side == 1
                     else _loop_ratio(model, v1, cand, de, ex.p)
@@ -185,7 +186,7 @@ def _run_restart(model, ex: YoungExponents, cfg, restart_index):
                         v1 = cand
                     else:
                         v2 = cand
-                    ratio = cand_ratio
+                    ratio, psi = cand_ratio, cand_psi
                     break
         trace.append(ratio)
         anchor = trace[max(0, len(trace) - 1 - window)]
@@ -277,6 +278,8 @@ def gaussian_ansatz(ex: YoungExponents, width_bounds=(1e-3, 1e3)):
     """
     if not ex.interior:
         raise ValueError("gaussian ansatz needs an interior triple")
+    from scipy.optimize import minimize  # deferred: slow to import, used only here
+
     lo, hi = math.log(width_bounds[0]), math.log(width_bounds[1])
 
     def objective(ls):

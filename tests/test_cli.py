@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import youngconv
 from youngconv.cli import main
 
 RUN = [sys.executable, "-m", "youngconv.cli"]
@@ -126,8 +128,26 @@ def test_report_roundtrip(tmp_path, capsys):
 
 def test_report_missing_fields_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    for payload in ({"group": "Z/6"}, {"group": "Z/6", "exponents": "4/3"}, [1, 2]):
+    for payload in (
+        {"group": "Z/6"},
+        {"group": "Z/6", "exponents": "4/3"},
+        [1, 2],
+        {"ratio_trace": [1, 2]},
+    ):
         bad.write_text(json.dumps(payload))
-        for fmt in ("text", "json"):
+        for fmt in ("text", "json", "csv"):
             assert main(["report", "--input", str(bad), "--format", fmt]) == 4
             assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cold_import_skips_scipy_signal_and_optimize():
+    # both cost most of a CLI start; FFTs come from scipy.fft and
+    # scipy.optimize loads on the first gaussian_ansatz call
+    src = str(Path(youngconv.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import youngconv, youngconv.cli; "
+        "print([m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from scipy import fft as sp_fft
+
 from youngconv.convolution import (
+    _affine_out_b_grid,
     _convolve,
     ascent_direction_phi1,
     ascent_direction_phi2,
+    fftconvolve,
     lp_norm,
     transform_identity_check,
     twisted_convolve,
@@ -278,3 +282,34 @@ def test_adjoint_pairings():
                 ascent_direction_phi1(model, f, w, de),
                 ascent_direction_phi2(model, f, w, de),
             )
+
+
+def test_fftconvolve_bit_equal_to_scipy_signal():
+    from scipy import signal
+
+    rng = np.random.default_rng(3)
+    # row-wise along axis 1 at the affine in-loop and enlarged output widths
+    model = make_affine_group(0.05, 1.5, 0.05, 3.0)
+    nu, nb = model.n_u, model.n_b
+    for n_out in (nb, _affine_out_b_grid(model).size):
+        a = rng.random((nu, nb))
+        k = rng.random((nu, nb + n_out - 1))
+        ref = signal.fftconvolve(a, k, axes=1)
+        full = ref.shape[1]
+        nfft = sp_fft.next_fast_len(full, True)
+        assert np.array_equal(fftconvolve(a, k, n=nfft)[:, :full], ref)
+        # pre-transformed spectra, sliced by rows as the affine loops do
+        spec_a, spec_k = sp_fft.rfft(a, nfft), sp_fft.rfft(k[:, ::-1], nfft)
+        rows = slice(7, 40)
+        assert np.array_equal(
+            fftconvolve(spec_a[rows], k[rows], n=nfft)[:, :full],
+            signal.fftconvolve(a[rows], k[rows], axes=1),
+        )
+        assert np.array_equal(
+            fftconvolve(spec_a[rows], spec_k[rows], n=nfft)[:, :full],
+            signal.fftconvolve(a[rows], k[rows, ::-1], axes=1),
+        )
+    # plane inputs, convolved over both axes
+    x, y = rng.random((16, 16)), rng.random((16, 16))
+    assert np.array_equal(fftconvolve(x, y), signal.fftconvolve(x, y))
+    assert np.array_equal(fftconvolve(x, y[::-1, ::-1]), signal.fftconvolve(x, y[::-1, ::-1]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from youngconv import estimator
 from youngconv.constants import beckner_Y_Rn
 from youngconv.convolution import young_ratio
 from youngconv.estimator import (
@@ -169,3 +170,28 @@ def test_nonconvergence_is_flagged_not_fatal():
     )
     assert not rep.converged
     assert rep.lower_bound > 0
+
+
+def test_ascent_convolves_once_per_ratio_evaluation(monkeypatch):
+    # the accepted convolution is carried into the next half-step, so the
+    # loop convolves once for the start and once per line-search try;
+    # certification goes through convolution._convolve and is not counted
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(estimator, "_convolve", counted("convolve", estimator._convolve))
+    monkeypatch.setattr(estimator, "_loop_ratio", counted("ratio", estimator._loop_ratio))
+    ex = young_p("4/3", "3/2")
+    cfg = EstimatorConfig(restarts=1, max_iters=10, seed=42)
+    for model in (make_affine_group(0.25, 1.0, 0.25, 2.0), make_real_line(0.25, 4.0)):
+        counts.update(convolve=0, ratio=0)
+        estimate(model, ex, cfg)
+        ls_tries = counts["ratio"] - 1
+        assert ls_tries > 0
+        assert counts["convolve"] == 1 + ls_tries
