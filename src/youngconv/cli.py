@@ -49,6 +49,17 @@ EXIT_BAD_MODEL = 4
 EXIT_VERIFY_FAILED = 5
 
 
+def _positive_int(text):
+    """argparse type for a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _emit(payload: dict, args, text_lines):
     """Write the canonical JSON and/or the text rendering of one result."""
     blob = json.dumps(payload, sort_keys=True, indent=2)
@@ -345,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "Affine:hu=0.05,U=1.5,hb=0.05,B=3 | Table:file.json")
     p_est.add_argument("--p1", required=True)
     p_est.add_argument("--p2", required=True)
-    p_est.add_argument("--restarts", type=int, default=16)
+    p_est.add_argument("--restarts", type=_positive_int, default=16)
     p_est.add_argument("--iters", type=int, default=500)
     p_est.add_argument("--tol", type=float, default=1e-9)
     p_est.add_argument("--seed", type=int, default=42)

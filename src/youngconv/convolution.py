@@ -84,7 +84,10 @@ def _weighted_norm(weight, values, pf: float) -> float:
     peak = float(mags.max()) if mags.size else 0.0
     if peak == 0.0:
         return 0.0
-    return peak * float(np.sum(weight * (mags / peak) ** pf)) ** (1.0 / pf)
+    mags /= peak
+    mags **= pf
+    mags *= weight
+    return peak * float(mags.sum()) ** (1.0 / pf)
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +144,10 @@ class LinePWL(ConvolutionResult):
 
     def lp_norm(self, p) -> float:
         pf = _pf(p)
+        mags = np.abs(self.values)
         if math.isinf(pf):
-            return float(np.abs(self.values).max())
-        return _pwl_norm(self.values[:-1], self.values[1:], self.h, pf)
+            return float(mags.max())
+        return _pwl_norm(mags[:-1], mags[1:], self.h, pf)
 
 
 class TorusPWL(ConvolutionResult):
@@ -156,9 +160,10 @@ class TorusPWL(ConvolutionResult):
 
     def lp_norm(self, p) -> float:
         pf = _pf(p)
+        mags = np.abs(self.values)
         if math.isinf(pf):
-            return float(np.abs(self.values).max())
-        return _pwl_norm(self.values, np.roll(self.values, -1), self.h, pf)
+            return float(mags.max())
+        return _pwl_norm(mags, np.roll(mags, -1), self.h, pf)
 
 
 class PlanePWL(ConvolutionResult):
@@ -172,37 +177,37 @@ class PlanePWL(ConvolutionResult):
 
     def lp_norm(self, p) -> float:
         pf = _pf(p)
-        v = self.values
-        if math.isinf(pf):
-            return float(np.abs(v).max())
-        v00 = np.abs(v[:-1, :-1])[..., None, None]
-        v10 = np.abs(v[1:, :-1])[..., None, None]
-        v01 = np.abs(v[:-1, 1:])[..., None, None]
-        v11 = np.abs(v[1:, 1:])[..., None, None]
+        v = np.abs(self.values)[..., None, None]
+        peak = float(v.max())
+        if math.isinf(pf) or peak == 0.0:
+            return peak
+        # the bilinear surface at the Gauss nodes (t along axis 0, s along
+        # axis 1); each term is formed as (v * ft) * fs and added left to
+        # right into one buffer, so no term needs a temporary of its own
         t = _T01[:, None]
         s = _T01[None, :]
-        surf = (
-            v00 * (1 - t) * (1 - s)
-            + v10 * t * (1 - s)
-            + v01 * (1 - t) * s
-            + v11 * t * s
-        )
-        peak = float(np.abs(v).max())
-        if peak == 0.0:
-            return 0.0
-        cell = np.einsum("ijts,t,s->", (surf / peak) ** pf, _W01, _W01)
+        surf = np.multiply(v[:-1, :-1] * (1 - t), 1 - s)
+        term = np.empty_like(surf)
+        surf += np.multiply(v[1:, :-1] * t, 1 - s, out=term)
+        surf += np.multiply(v[:-1, 1:] * (1 - t), s, out=term)
+        surf += np.multiply(v[1:, 1:] * t, s, out=term)
+        surf /= peak
+        surf **= pf
+        cell = np.einsum("ijts,t,s->", surf, _W01, _W01)
         return peak * float(cell * self.h * self.h) ** (1.0 / pf)
 
 
 def _pwl_norm(a, b, h, pf):
-    """Lp norm of linear segments a -> b of common width h (8-node Gauss)."""
-    a = np.abs(np.asarray(a, dtype=float))
-    b = np.abs(np.asarray(b, dtype=float))
+    """Lp norm of linear segments a -> b of common width h (8-node Gauss);
+    a and b are the magnitudes at the segment ends."""
     peak = max(a.max(initial=0.0), b.max(initial=0.0))
     if peak == 0.0:
         return 0.0
-    seg = a[:, None] + (b - a)[:, None] * _T01[None, :]
-    total = float(np.sum((seg / peak) ** pf @ _W01) * h)
+    seg = np.multiply.outer(b - a, _T01)
+    seg += a[:, None]
+    seg /= peak
+    seg **= pf
+    total = float((seg @ _W01).sum() * h)
     return peak * total ** (1.0 / pf)
 
 
@@ -240,7 +245,9 @@ def _integer_line_convolve(model, v1, v2, de, enlarged):
 
 
 def _real_line_convolve(model, v1, v2, de, enlarged):
-    knots = np.concatenate(([0.0], model.h * np.convolve(v1, v2), [0.0]))
+    core = np.convolve(v1, v2)
+    knots = np.zeros(core.size + 2)
+    np.multiply(model.h, core, out=knots[1:-1])
     return LinePWL(model, -2.0 * model.half_width, model.h, knots)
 
 

@@ -19,11 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exponents import Exponent, YoungExponents
-from .groups import AffineModel, GroupFunction, GroupModel
+from .groups import AffineModel, GroupFunction, GroupModel, GroupModelError
 from .convolution import (
     _convolve,
     _delta_exponent,
     _normalized_convolve,
+    _weighted_norm,
     ascent_direction_phi1,
     ascent_direction_phi2,
     lp_norm,
@@ -116,7 +117,10 @@ class EstimateReport:
 
 
 def _normalize(model, values, p: Exponent):
-    norm = lp_norm(GroupFunction(model, values), p)
+    norm = _weighted_norm(model.weight, values, float(p))
+    # a NaN or inf entry makes the norm NaN or inf, for every p
+    if not math.isfinite(norm):
+        raise GroupModelError("function values must be finite")
     return (values / norm, norm) if norm > 0 else (values, 0.0)
 
 
@@ -149,7 +153,7 @@ def _run_restart(model, ex: YoungExponents, cfg, restart_index):
     for iterations in range(1, cfg.max_iters + 1):
         # psi is always the convolution of the current pair (v1, v2)
         for side in (1, 2):
-            if not np.any(psi.values):
+            if not psi.values.any():
                 v1, _ = _normalize(model, model.random_start(rng), ex.p1)
                 v2, _ = _normalize(model, model.random_start(rng), ex.p2)
                 ratio, psi = _loop_ratio(model, v1, v2, de, ex.p)
@@ -163,8 +167,8 @@ def _run_restart(model, ex: YoungExponents, cfg, restart_index):
                 grad = ascent_direction_phi2(model, v1, w, de)
                 expo = 1.0 / (p2f - 1.0)
                 current, pexp = v2, ex.p2
-            grad = np.clip(grad, 0.0, None)
-            if not np.any(grad):
+            grad = np.maximum(grad, 0.0)
+            if not grad.any():
                 continue
             peak = grad.max()
             proposal, norm = _normalize(model, (grad / peak) ** expo, pexp)
@@ -222,6 +226,8 @@ def estimate(
         )
     if model.size == 0:
         raise ValueError("empty carrier")
+    if cfg.restarts < 1:
+        raise ValueError(f"the estimator needs restarts >= 1, got {cfg.restarts}")
     results = [_run_restart(model, ex, cfg, k) for k in range(cfg.restarts)]
     best = max(results, key=lambda r: (r.ratio, -r.index))
     refs = [("classical", 1.0)]

@@ -41,16 +41,23 @@ def _parse_inverse(value) -> Fraction:
     raise ExponentError(f"unsupported exponent type {type(value).__name__}")
 
 
+def _float_of(inv: Fraction) -> float:
+    """p = 1/inv as a float, inf for inv = 0; cached on every Exponent because
+    the estimator's inner loop asks for it on each step."""
+    return math.inf if inv == 0 else float(1 / inv)
+
+
 class Exponent:
     """An exponent in [1, inf], exact for rational inputs and for inf."""
 
-    __slots__ = ("_inv",)
+    __slots__ = ("_inv", "_float")
 
     def __init__(self, value):
         inv = _parse_inverse(value)
         if not (0 <= inv <= 1):
             raise ExponentError(f"exponent must lie in [1, inf], got 1/{inv}")
         self._inv = inv
+        self._float = _float_of(inv)
 
     @classmethod
     def from_inverse(cls, inv: Fraction) -> "Exponent":
@@ -58,6 +65,7 @@ class Exponent:
             raise ExponentError(f"reciprocal exponent must lie in [0, 1], got {inv}")
         obj = object.__new__(cls)
         obj._inv = Fraction(inv)
+        obj._float = _float_of(obj._inv)
         return obj
 
     @property
@@ -79,7 +87,7 @@ class Exponent:
         return math.inf if self.is_inf else 1 / self._inv
 
     def __float__(self) -> float:
-        return math.inf if self.is_inf else float(1 / self._inv)
+        return self._float
 
     def conjugate(self) -> "Exponent":
         """The Hoelder conjugate p' with 1/p + 1/p' = 1 (exact)."""

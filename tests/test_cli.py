@@ -40,6 +40,16 @@ def test_exit_code_bad_exponents():
     assert _run(["catalog", "--p1", "1/2", "--p2", "2"]).returncode == 2
 
 
+def test_exit_code_bad_restarts():
+    for restarts in ("0", "-1"):
+        proc = _run(
+            ["estimate", "--group", "Zmod:6", "--p1", "4/3", "--p2", "3/2",
+             "--restarts", restarts]
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+
 def test_exit_code_unknown_catalog_name():
     assert _run(["exact", "--p1", "4/3", "--p2", "4/3", "--group", "nope"]).returncode == 3
 

@@ -6,8 +6,14 @@ import pytest
 from scipy import fft as sp_fft
 
 from youngconv.convolution import (
+    _T01,
+    _W01,
+    LinePWL,
+    PlanePWL,
+    TorusPWL,
     _affine_out_b_grid,
     _convolve,
+    _weighted_norm,
     ascent_direction_phi1,
     ascent_direction_phi2,
     fftconvolve,
@@ -313,3 +319,92 @@ def test_fftconvolve_bit_equal_to_scipy_signal():
     x, y = rng.random((16, 16)), rng.random((16, 16))
     assert np.array_equal(fftconvolve(x, y), signal.fftconvolve(x, y))
     assert np.array_equal(fftconvolve(x, y[::-1, ::-1]), signal.fftconvolve(x, y[::-1, ::-1]))
+
+
+# Bit-identity oracles: the norm expressions as first written, before their
+# temporaries were built in place.  The in-place forms must agree exactly.
+
+ORACLE_PS = [5 / 4, 4 / 3, 3 / 2, 2.0, 7 / 3, 4.0, math.inf]
+
+
+def _ref_weighted_norm(weight, values, pf):
+    mags = np.abs(values)
+    if math.isinf(pf):
+        return float(mags.max()) if mags.size else 0.0
+    peak = float(mags.max()) if mags.size else 0.0
+    if peak == 0.0:
+        return 0.0
+    return peak * float(np.sum(weight * (mags / peak) ** pf)) ** (1.0 / pf)
+
+
+def _ref_pwl_norm(a, b, h, pf):
+    a = np.abs(np.asarray(a, dtype=float))
+    b = np.abs(np.asarray(b, dtype=float))
+    peak = max(a.max(initial=0.0), b.max(initial=0.0))
+    if peak == 0.0:
+        return 0.0
+    seg = a[:, None] + (b - a)[:, None] * _T01[None, :]
+    total = float(np.sum((seg / peak) ** pf @ _W01) * h)
+    return peak * total ** (1.0 / pf)
+
+
+def _ref_line_norm(v, h, pf):
+    if math.isinf(pf):
+        return float(np.abs(v).max())
+    return _ref_pwl_norm(v[:-1], v[1:], h, pf)
+
+
+def _ref_torus_norm(v, h, pf):
+    if math.isinf(pf):
+        return float(np.abs(v).max())
+    return _ref_pwl_norm(v, np.roll(v, -1), h, pf)
+
+
+def _ref_plane_norm(v, h, pf):
+    if math.isinf(pf):
+        return float(np.abs(v).max())
+    v00 = np.abs(v[:-1, :-1])[..., None, None]
+    v10 = np.abs(v[1:, :-1])[..., None, None]
+    v01 = np.abs(v[:-1, 1:])[..., None, None]
+    v11 = np.abs(v[1:, 1:])[..., None, None]
+    t = _T01[:, None]
+    s = _T01[None, :]
+    surf = (
+        v00 * (1 - t) * (1 - s)
+        + v10 * t * (1 - s)
+        + v01 * (1 - t) * s
+        + v11 * t * s
+    )
+    peak = float(np.abs(v).max())
+    if peak == 0.0:
+        return 0.0
+    cell = np.einsum("ijts,t,s->", (surf / peak) ** pf, _W01, _W01)
+    return peak * float(cell * h * h) ** (1.0 / pf)
+
+
+def _oracle_draws(rng, shape):
+    """Mixed-sign values whose magnitudes span 1e-5 to 1e5, then all zeros."""
+    # a reassociated product changes the last bit of only some norms, so
+    # the oracle needs many draws to see it
+    for _ in range(40):
+        yield rng.standard_normal(shape) * 10.0 ** rng.uniform(-5.0, 5.0, shape)
+    yield np.zeros(shape)
+
+
+@pytest.mark.parametrize("pf", ORACLE_PS)
+def test_norms_bit_equal_to_reference_expressions(pf):
+    rng = np.random.default_rng(11)
+    for shape in [(37,), (9, 14)]:
+        weight = rng.uniform(0.1, 2.0, shape)
+        for v in _oracle_draws(rng, shape):
+            assert _weighted_norm(weight, v, pf) == _ref_weighted_norm(weight, v, pf)
+    line, torus, plane = make_real_line(0.25, 4.0), make_torus(16), make_plane(0.5, 2.0)
+    for v in _oracle_draws(rng, 4 * line.size + 1):
+        result = LinePWL(line, -8.0, line.h, v)
+        assert result.lp_norm(pf) == _ref_line_norm(v, line.h, pf)
+    for v in _oracle_draws(rng, torus.size):
+        assert TorusPWL(torus, v).lp_norm(pf) == _ref_torus_norm(v, torus.h, pf)
+    n = 2 * plane.centers.size + 1
+    for v in _oracle_draws(rng, (n, n)):
+        result = PlanePWL(plane, -4.0, plane.h, v)
+        assert result.lp_norm(pf) == _ref_plane_norm(v, plane.h, pf)

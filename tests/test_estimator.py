@@ -1,7 +1,12 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from youngconv import estimator
+from youngconv.cli import _build_model
 from youngconv.constants import beckner_Y_Rn
 from youngconv.convolution import young_ratio
 from youngconv.estimator import (
@@ -11,9 +16,10 @@ from youngconv.estimator import (
     gaussian_ansatz,
     monotonicity_audit,
 )
-from youngconv.exponents import young_p
+from youngconv.exponents import Exponent, young_p
 from youngconv.groups import (
     GroupFunction,
+    GroupModelError,
     affine_prime_field,
     cyclic_group,
     make_affine_group,
@@ -195,3 +201,36 @@ def test_ascent_convolves_once_per_ratio_evaluation(monkeypatch):
         ls_tries = counts["ratio"] - 1
         assert ls_tries > 0
         assert counts["convolve"] == 1 + ls_tries
+
+
+def test_estimate_rejects_fewer_than_one_restart():
+    for restarts in (0, -1):
+        with pytest.raises(ValueError, match="restarts >= 1"):
+            estimate(cyclic_group(6), young_p("4/3", "3/2"), EstimatorConfig(restarts=restarts))
+
+
+@pytest.mark.parametrize("p", ["4/3", "inf"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_normalize_rejects_non_finite_values(p, bad):
+    model = make_real_line(0.25, 2.0)
+    values = np.linspace(0.1, 1.0, model.size)
+    values[3] = bad
+    with pytest.raises(GroupModelError, match="finite"):
+        estimator._normalize(model, values, Exponent(p))
+
+
+def test_estimates_match_golden_file():
+    # the ROADMAP rule for a speedup: every bound equal within 1e-12
+    # relative at a fixed seed, and the same number of iterations
+    golden = json.loads(
+        (Path(__file__).parent / "data" / "estimate_golden.json").read_text()
+    )
+    ex = young_p(golden["p1"], golden["p2"])
+    cfg = EstimatorConfig(**golden["config"])
+    for selector, want in golden["estimates"].items():
+        rep = estimate(_build_model(selector), ex, cfg)
+        assert rep.lower_bound == pytest.approx(want["lower_bound"], rel=1e-12), selector
+        assert rep.iterations == want["iterations"], selector
+        assert rep.truncation_mass == pytest.approx(
+            want["truncation_mass"], rel=1e-12, abs=1e-15
+        ), selector

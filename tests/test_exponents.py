@@ -78,3 +78,15 @@ def test_swapped():
     ex = young_p("4/3", "3/2")
     sw = ex.swapped()
     assert sw.p1 == ex.p2 and sw.p2 == ex.p1 and sw.p == ex.p
+
+
+def test_float_matches_exact_value_for_every_construction():
+    built = [Exponent(q) for q in (1, "4/3", "7/3", 2.5, Fraction(10, 7), "inf", math.inf)]
+    built += [Exponent.from_inverse(Fraction(k, 9)) for k in range(10)]
+    built += [e.conjugate() for e in list(built)]
+    for p1, p2 in (("4/3", "3/2"), ("5/4", "10/7"), (2, 2), (1, "7/2")):
+        ex = young_p(p1, p2)
+        built += [ex.p1, ex.p2, ex.p]
+    for e in built:
+        want = math.inf if e.inv == 0 else float(1 / e.inv)
+        assert float(e) == want
