@@ -8,11 +8,13 @@ on G decomposes through three coset functionals built from fibers over H:
     U(x, x') = sum_h phi2(g_x^-1 h g_x')^p2 Delta(g_x^-1 h g_x')
                * delta(g_x) / delta(h)
 
-with g_x the coset representatives.  Everything here is an exact finite
-sum, so the integral identities hold to float roundoff and every
-inequality of the chain (Young's inequality on H applied fiberwise, two
-weighted Hoelder steps, one Minkowski step, and the final contraction) can
-be asserted step by step.  The chain ends at
+with g_x the coset representatives.  T and U, and the fiber factors t and
+u of the pointwise decomposition, all read phi2 at the same elements
+g_x^-1 h g_x', so one index array mids[x, h, x'] serves them all.
+Everything here is an exact finite sum, so the integral identities hold
+to float roundoff and every inequality of the chain (Young's inequality on
+H applied fiberwise, two weighted Hoelder steps, one Minkowski step, and
+the final contraction) can be asserted step by step.  The chain ends at
 
     ||phi1 * (phi2 Delta^(1/p1'))||_p <= Y(p1, p2; H),
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convolution import lp_norm, twisted_convolve
+from .convolution import ConvolutionResult, lp_norm, twisted_convolve
 from .exponents import YoungExponents
 from .groups import GroupFunction
 from .quotient import FiniteSubgroupPair
@@ -46,45 +48,30 @@ class ChainObjects:
     S: np.ndarray  # (nx,)
     T: np.ndarray  # (nx, nx)
     U: np.ndarray  # (nx, nx)
+    F: np.ndarray  # (nx, nh, nx'): F(x, h', x'), the fibers of psi
+    tu_norm: np.ndarray  # (nx, nx'): ||h -> t u||_{p2, H}
+    psi: ConvolutionResult  # phi1 * (phi2 Delta^(1/p1')), computed directly
     rep_independence_residual: float
-
-    @property
-    def n_cosets(self):
-        return self.pair.n_cosets
 
 
 def _stu(pair, ex, v1, v2, reps):
-    g = pair.group
-    h_idx = pair.h_indices
-    delta = pair.delta
-    delta_h = delta[h_idx]
-    big_delta = g.delta
-    p1f, p2f = float(ex.p1), float(ex.p2)
-    nx = reps.size
-    inv_reps = g.inv[reps]
-    s_mat = np.empty(nx)
-    t_mat = np.empty((nx, nx))
-    u_mat = np.empty((nx, nx))
-    for x, rep in enumerate(reps):
-        hg = g.table[h_idx, rep]
-        s_mat[x] = float(np.sum(v1[hg] ** p1f)) * delta[rep]
-    for x, rep in enumerate(reps):
-        ginv = inv_reps[x]
-        for xp, repp in enumerate(reps):
-            mids = g.table[np.full_like(h_idx, ginv), g.table[h_idx, repp]]
-            powers = v2[mids] ** p2f
-            t_mat[x, xp] = float(np.sum(powers)) * delta[repp]
-            u_mat[x, xp] = float(
-                np.sum(powers * big_delta[mids] / delta_h)
-            ) * delta[rep]
-    return s_mat, t_mat, u_mat
+    """S, T, U at the representatives ``reps``, plus the index array
+    mids[x, h, x'] = g_x^-1 h g_x' and phi2(mids)^p2 they are built from."""
+    g, h_idx, delta = pair.group, pair.h_indices, pair.delta
+    mids = g.table[g.table[np.ix_(g.inv[reps], h_idx)][:, :, None], reps]
+    powers = v2[mids] ** float(ex.p2)
+    s_mat = (v1[g.table[h_idx, reps[:, None]]] ** float(ex.p1)).sum(axis=1) * delta[reps]
+    t_mat = powers.sum(axis=1) * delta[reps]
+    u_mat = (powers * g.delta[mids] / delta[h_idx][:, None]).sum(axis=1)
+    return s_mat, t_mat, u_mat * delta[reps][:, None], mids, powers
 
 
 def build_coset_functionals(
     pair: FiniteSubgroupPair, ex: YoungExponents, phi1: GroupFunction, phi2: GroupFunction
 ) -> ChainObjects:
-    """Compute S, T, U (inputs normalized first) and check that a different
-    choice of coset representatives reproduces them exactly."""
+    """Compute S, T, U, the fiber tensor F, the t u norms and the direct
+    convolution (inputs normalized first), and check that a different
+    choice of coset representatives reproduces S, T, U exactly."""
     if not isinstance(pair, FiniteSubgroupPair):
         raise ChainError("the chain harness runs on finite subgroup pairs only")
     if not ex.interior:
@@ -95,16 +82,35 @@ def build_coset_functionals(
         raise ChainError("nonnegative functions only")
     v1 = v1 / lp_norm(phi1, ex.p1)
     v2 = v2 / lp_norm(phi2, ex.p2)
-    s_mat, t_mat, u_mat = _stu(pair, ex, v1, v2, pair.reps)
+    g, h_idx, delta, reps = pair.group, pair.h_indices, pair.delta, pair.reps
+    s_mat, t_mat, u_mat, mids, powers = _stu(pair, ex, v1, v2, reps)
     for arr in (s_mat, t_mat, u_mat):
         if not np.all(np.isfinite(arr)):
             raise ChainError("non-finite coset functional")
-    alt = _alternate_reps(pair)
-    s2, t2, u2 = _stu(pair, ex, v1, v2, alt)
+    s2, t2, u2, _, _ = _stu(pair, ex, v1, v2, _alternate_reps(pair))
     resid = max(
         _rel_gap(s_mat, s2), _rel_gap(t_mat, t2), _rel_gap(u_mat, u2)
     )
-    return ChainObjects(pair, ex, v1, v2, s_mat, t_mat, u_mat, resid)
+
+    p1f, p2f, pf = float(ex.p1), float(ex.p2), float(ex.p)
+    inv_p1c = 1.0 - 1.0 / p1f  # 1/p1'
+    # t(h^-1 g_x, g_x') u(g_x, h, g_x'), both read at g_x^-1 h g_x'
+    tu = (powers * delta[reps]) ** (1.0 / pf) * (
+        powers * g.delta[mids] * delta[reps][:, None, None] / delta[h_idx][:, None]
+    ) ** inv_p1c
+    tu_norm = (tu**p2f).sum(axis=1) ** (1.0 / p2f)
+    # F(x, h', x') = sum_h s(h g_x) (t u delta^(1/p1'))(x, h^-1 h', x'),
+    # with k[h, h'] the position of h^-1 h' in H
+    pos = np.empty(g.size, dtype=int)
+    pos[h_idx] = np.arange(h_idx.size)
+    k = pos[g.table[np.ix_(g.inv[h_idx], h_idx)]]
+    s_fib = v1[g.table[h_idx, reps[:, None]]] * delta[reps][:, None] ** (1.0 / p1f)
+    w = tu * delta[h_idx][:, None] ** inv_p1c
+    f = np.einsum("xh,xhpy->xpy", s_fib, w[:, k, :])
+    psi = twisted_convolve(GroupFunction(g, v1), GroupFunction(g, v2), ex)
+    return ChainObjects(
+        pair, ex, v1, v2, s_mat, t_mat, u_mat, f, tu_norm, psi, resid
+    )
 
 
 def _alternate_reps(pair):
@@ -145,8 +151,7 @@ def identity_checks(po: ChainObjects, tol: float = 1e-10):
     * the pointwise decomposition of the twisted convolution through
       s, t, u at every (h', x').
     """
-    pair, ex = po.pair, po.ex
-    m = pair.coset_measure
+    m = po.pair.coset_measure
     reports = [
         CheckReport("S-integral", abs(float(m @ po.S) - 1.0), tol),
         CheckReport(
@@ -162,61 +167,16 @@ def identity_checks(po: ChainObjects, tol: float = 1e-10):
     return reports
 
 
-def _fiber_f(po: ChainObjects):
-    """F(x, h', x') = sum_h s t u delta(h^-1 h')^(1/p1') at representatives."""
-    pair, ex = po.pair, po.ex
-    g = pair.group
-    h_idx = pair.h_indices
-    delta = pair.delta
-    big_delta = g.delta
-    reps = pair.reps
-    inv_reps = g.inv[reps]
-    p1f, p2f, pf = float(po.ex.p1), float(po.ex.p2), float(po.ex.p)
-    inv_p1c = 1.0 - 1.0 / p1f  # 1/p1'
-    nx, nh = reps.size, h_idx.size
-    f = np.zeros((nx, nh, nx))
-    for x, rep in enumerate(reps):
-        s_vals = po.phi1[g.table[h_idx, rep]] * delta[rep] ** (1.0 / p1f)
-        for hp_i, hp in enumerate(h_idx):
-            hp_inv = g.inv[hp]
-            for xp, repp in enumerate(reps):
-                total = 0.0
-                for h_i, h in enumerate(h_idx):
-                    # t((h'^-1 h) g_x, g_x')
-                    left = g.table[g.table[hp_inv, h], rep]
-                    t_arg = g.table[g.inv[left], repp]
-                    t_val = (po.phi2[t_arg] ** p2f * delta[repp]) ** (1.0 / pf)
-                    # u(g_x, h^-1 h', g_x')
-                    k = g.table[g.inv[h], hp]
-                    mid = g.table[g.table[inv_reps[x], k], repp]
-                    u_val = (
-                        po.phi2[mid] ** p2f
-                        * big_delta[mid]
-                        * delta[rep]
-                        / delta[k]
-                    ) ** inv_p1c
-                    total += s_vals[h_i] * t_val * u_val * delta[k] ** inv_p1c
-                f[x, hp_i, xp] = total
-    return f
-
-
 def _decomposition_residual(po: ChainObjects):
-    pair, ex = po.pair, po.ex
-    g = pair.group
-    conv = twisted_convolve(
-        GroupFunction(g, po.phi1), GroupFunction(g, po.phi2), ex
-    ).values
-    f = _fiber_f(po)
-    m = pair.coset_measure
-    pf = float(ex.p)
-    worst = 0.0
-    scale = max(float(np.abs(conv).max()), 1e-300)
-    for hp_i, hp in enumerate(pair.h_indices):
-        for xp, repp in enumerate(pair.reps):
-            lhs = conv[g.table[hp, repp]]
-            rhs = float(m @ f[:, hp_i, xp]) / pair.delta[repp] ** (1.0 / pf)
-            worst = max(worst, abs(lhs - rhs))
-    return worst / scale
+    """Worst gap between psi(h' g_x') and (sum_x m F) / delta(g_x')^(1/p)."""
+    pair = po.pair
+    psi = po.psi.values
+    lhs = psi[pair.group.table[np.ix_(pair.h_indices, pair.reps)]]
+    rhs = np.einsum("x,xhy->hy", pair.coset_measure, po.F) / pair.delta[
+        pair.reps
+    ] ** (1.0 / float(po.ex.p))
+    scale = max(float(np.abs(psi).max()), 1e-300)
+    return float(np.abs(lhs - rhs).max()) / scale
 
 
 def generalized_holder(weights, factors, exponent_matrix, c_weights) -> float:
@@ -276,33 +236,29 @@ def chain_check(po: ChainObjects, y_h: float = 1.0, tol: float = 1e-10) -> Chain
     H (1 for finite H).  Residuals are violations max(0, LHS - RHS) in
     relative scale; identities enter as absolute deviations.
     """
-    pair, ex = po.pair, po.ex
-    m = pair.coset_measure
-    p1f, p2f, pf = float(ex.p1), float(ex.p2), float(ex.p)
+    ex, m = po.ex, po.pair.coset_measure
+    p1f, pf = float(ex.p1), float(ex.p)
     inv_p1c = 1.0 - 1.0 / p1f
-    f = _fiber_f(po)
     report = ChainReport()
 
     # per-x' Minkowski: sum_h' (sum_x m F)^p <= (sum_x m (sum_h' F^p)^(1/p))^p
-    fx = np.einsum("x,xhy->hy", m, f)  # (nh, nx')
+    fx = np.einsum("x,xhy->hy", m, po.F)  # (nh, nx')
     lhs_mink = np.sum(fx**pf, axis=0)  # per x'
-    inner = np.sum(f**pf, axis=1) ** (1.0 / pf)  # (nx, nx')
+    inner = np.sum(po.F**pf, axis=1) ** (1.0 / pf)  # (nx, nx')
     rhs_mink = (m @ inner) ** pf
     report.steps.append(
         CheckReport("minkowski", _violation(lhs_mink, rhs_mink), tol)
     )
 
     # Young on H, fiberwise: (sum_h' F^p)^(1/p) <= y_h S^(1/p1) ||t u||_{p2,H}
-    tu_norm = _tu_norms(po)  # (nx, nx')
-    lhs_young = np.sum(f**pf, axis=1) ** (1.0 / pf)
-    rhs_young = y_h * po.S[:, None] ** (1.0 / p1f) * tu_norm
+    rhs_young = y_h * po.S[:, None] ** (1.0 / p1f) * po.tu_norm
     report.steps.append(
-        CheckReport("young-on-H", _violation(lhs_young, rhs_young), tol)
+        CheckReport("young-on-H", _violation(inner, rhs_young), tol)
     )
 
     # Hoelder step 1: ||t u||_{p2,H} <= T^(1/p) U^(1/p1')
     rhs_h1 = po.T ** (1.0 / pf) * po.U**inv_p1c
-    report.steps.append(CheckReport("holder-H", _violation(tu_norm, rhs_h1), tol))
+    report.steps.append(CheckReport("holder-H", _violation(po.tu_norm, rhs_h1), tol))
 
     # Hoelder step 2 on X, per x' (unit norms):
     # (sum_x m S^(1/p1) T^(1/p) U^(1/p1'))^p <= sum_x m S T
@@ -321,10 +277,7 @@ def chain_check(po: ChainObjects, y_h: float = 1.0, tol: float = 1e-10) -> Chain
     norm_p = float(m @ lhs_mink)
     report.end_to_end_lhs = norm_p ** (1.0 / pf)
     report.end_to_end_bound = y_h
-    conv = twisted_convolve(
-        GroupFunction(pair.group, po.phi1), GroupFunction(pair.group, po.phi2), ex
-    )
-    report.direct_norm = conv.lp_norm(ex.p)
+    report.direct_norm = po.psi.lp_norm(ex.p)
     report.steps.append(
         CheckReport(
             "end-to-end",
@@ -341,36 +294,6 @@ def chain_check(po: ChainObjects, y_h: float = 1.0, tol: float = 1e-10) -> Chain
         )
     )
     return report
-
-
-def _tu_norms(po: ChainObjects):
-    """||h -> t(h^-1 g_x, g_x') u(g_x, h, g_x')||_{p2, H} for all (x, x')."""
-    pair, ex = po.pair, po.ex
-    g = pair.group
-    h_idx = pair.h_indices
-    delta = pair.delta
-    big_delta = g.delta
-    reps = pair.reps
-    inv_reps = g.inv[reps]
-    p1f, p2f, pf = float(ex.p1), float(ex.p2), float(ex.p)
-    inv_p1c = 1.0 - 1.0 / p1f
-    nx, nh = reps.size, h_idx.size
-    out = np.empty((nx, nx))
-    for x, rep in enumerate(reps):
-        for xp, repp in enumerate(reps):
-            total = 0.0
-            for h in h_idx:
-                # t(h^-1 g_x, g_x') = (phi2((h^-1 g_x)^-1 g_x')^p2 delta)^1/p
-                left = g.table[g.inv[h], rep]
-                t_arg = g.table[g.inv[left], repp]
-                t_val = (po.phi2[t_arg] ** p2f * delta[repp]) ** (1.0 / pf)
-                mid = g.table[g.table[inv_reps[x], h], repp]
-                u_val = (
-                    po.phi2[mid] ** p2f * big_delta[mid] * delta[rep] / delta[h]
-                ) ** inv_p1c
-                total += (t_val * u_val) ** p2f
-            out[x, xp] = total ** (1.0 / p2f)
-    return out
 
 
 def _violation(lhs, rhs):

@@ -49,14 +49,29 @@ EXIT_BAD_MODEL = 4
 EXIT_VERIFY_FAILED = 5
 
 
-def _positive_int(text):
-    """argparse type for a count that must be at least 1."""
+def _int_at_least(low):
+    """argparse type for an integer option that must be at least ``low``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _tolerance(text):
+    """argparse type for a finite, nonnegative float."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
 
 
@@ -356,16 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
                        "Affine:hu=0.05,U=1.5,hb=0.05,B=3 | Table:file.json")
     p_est.add_argument("--p1", required=True)
     p_est.add_argument("--p2", required=True)
-    p_est.add_argument("--restarts", type=_positive_int, default=16)
-    p_est.add_argument("--iters", type=int, default=500)
-    p_est.add_argument("--tol", type=float, default=1e-9)
-    p_est.add_argument("--seed", type=int, default=42)
+    p_est.add_argument("--restarts", type=_int_at_least(1), default=16)
+    p_est.add_argument("--iters", type=_int_at_least(0), default=500)
+    p_est.add_argument("--tol", type=_tolerance, default=1e-9)
+    p_est.add_argument("--seed", type=_int_at_least(0), default=42)
     p_est.add_argument("--csv", help="write one row per restart here")
     add_common(p_est)
     p_est.set_defaults(func=cmd_estimate)
 
     p_ver = sub.add_parser("verify", help="run the property battery")
-    p_ver.add_argument("--seeds", type=int, default=5)
+    p_ver.add_argument("--seeds", type=_int_at_least(1), default=5)
     p_ver.add_argument("--proof-chain", action="store_true",
                        help="emit the per-step proof chain residual table only")
     p_ver.add_argument("--corrupt", choices=["delta"], help="negative control")

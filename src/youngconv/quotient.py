@@ -69,7 +69,6 @@ class FiniteSubgroupPair:
         self.coset_of = coset_of
         self.reps = np.array(reps, dtype=int)
         self.delta = np.ones(group.size)
-        self.delta_h = np.ones(h.size)  # modular function of H (finite: 1)
         self.coset_measure = np.ones(len(reps))  # counting calibration
 
     @property
@@ -106,7 +105,19 @@ class FiniteSubgroupPair:
         return worst / scale if scale > 0 else worst
 
 
-class AffineTranslationPair:
+class _AffinePair:
+    """delta lookup shared by the coordinate subgroups of the affine grid."""
+
+    def _delta_at(self, u, b):
+        """delta at the cell holding (u, b); 1 outside the grid."""
+        m = self.group
+        row, col = int(m.u_index(u)), int(m.b_index(b))
+        if row < 0 or col < 0:
+            return 1.0
+        return float(self.delta[row, col])
+
+
+class AffineTranslationPair(_AffinePair):
     """H = translations {(1, b)} inside the affine grid; cosets = rows."""
 
     kind = "affine_translations"
@@ -148,13 +159,6 @@ class AffineTranslationPair:
         ok = cols >= 0
         return float(m.h_b * values[row, cols[ok]].sum())
 
-    def _delta_at(self, u, b):
-        m = self.group
-        row, col = int(m.u_index(u)), int(m.b_index(b))
-        if row < 0 or col < 0:
-            return 1.0
-        return float(self.delta[row, col])
-
     def weil_residual(self, phi: GroupFunction) -> float:
         m = self.group
         vals = phi.values
@@ -183,7 +187,7 @@ class AffineTranslationPair:
         return worst / scale if scale > 0 else worst
 
 
-class AffineDilationPair:
+class AffineDilationPair(_AffinePair):
     """H = dilations {(a, 0)} inside the affine grid; cosets = rays b/a."""
 
     kind = "affine_dilations"
@@ -213,7 +217,7 @@ class AffineDilationPair:
         sb = 0.25 * m.b_half_width
         return np.exp(-(uu**2) / (2 * su * su) - (bb**2) / (2 * sb * sb))
 
-    def _fiber_at(self, values, u, b, with_delta=True):
+    def _fiber_at(self, values, u, b):
         """int_H phi(h g) dh at g = (u, b): h g = (u_k + u, e^{u_k} b)."""
         m = self.group
         rows = m.u_index(m.u_centers + u)
@@ -223,13 +227,6 @@ class AffineDilationPair:
             return 0.0
         picked = values[rows[ok], cols[ok]]
         return float(m.h_u * picked.sum())
-
-    def _delta_at(self, u, b):
-        m = self.group
-        row, col = int(m.u_index(u)), int(m.b_index(b))
-        if row < 0 or col < 0:
-            return 1.0
-        return float(self.delta[row, col])
 
     def weil_residual(self, phi: GroupFunction) -> float:
         m = self.group

@@ -81,13 +81,41 @@ def _affine_bump(model, rng):
     return np.exp(-((uu - cu) ** 2) / (2 * su * su) - ((bb - cb) ** 2) / (2 * sb * sb))
 
 
-def _finite_pairs():
+def _finite_pairs(corrupt=None):
     af5 = affine_prime_field(5)
-    return [
+    pairs = [
         ("Z/6>{0,3}", build_subgroup_pair(cyclic_group(6), [0, 3])),
         ("Aff(F5)>translations", build_subgroup_pair(af5, list(range(5)))),
         ("Aff(F5)>dilations", build_subgroup_pair(af5, [(a - 1) * 5 for a in range(1, 5)])),
     ]
+    if corrupt == "delta":
+        pairs = [(name, corrupt_delta(p)) for name, p in pairs]
+    return pairs
+
+
+def _chain_worst(pairs, rng, seeds):
+    """Worst residuals of the proof chain over ``seeds`` random instances
+    per pair and triple.
+
+    Yields (name, p1, p2, rep, ids, steps): ``rep`` is the worst
+    representative-independence residual, ``ids`` and ``steps`` map each
+    identity check and each chain step to its worst residual.
+    """
+    for name, pair in pairs:
+        g = pair.group
+        for p1, p2 in TRIPLES:
+            exc = young_p(p1, p2)
+            rep, ids, steps = 0.0, {}, {}
+            for _ in range(seeds):
+                f1 = GroupFunction(g, 0.05 + rng.random(g.shape))
+                f2 = GroupFunction(g, 0.05 + rng.random(g.shape))
+                po = build_coset_functionals(pair, exc, f1, f2)
+                rep = max(rep, po.rep_independence_residual)
+                for c in identity_checks(po):
+                    ids[c.name] = max(ids.get(c.name, 0.0), c.residual)
+                for c in chain_check(po, 1.0).steps:
+                    steps[c.name] = max(steps.get(c.name, 0.0), c.residual)
+            yield name, p1, p2, rep, ids, steps
 
 
 def run_battery(
@@ -139,9 +167,7 @@ def run_battery(
     )
 
     # 3. quotient decomposition
-    pairs = _finite_pairs()
-    if corrupt == "delta":
-        pairs = [(name, corrupt_delta(p)) for name, p in pairs]
+    pairs = _finite_pairs(corrupt)
     worst = 0.0
     for name, pair in pairs:
         g = pair.group
@@ -186,18 +212,9 @@ def run_battery(
 
     # 4. proof chain
     worst_id, worst_step = 0.0, 0.0
-    for name, pair in pairs:
-        g = pair.group
-        for p1, p2 in TRIPLES:
-            exc = young_p(p1, p2)
-            for _ in range(proof_seeds):
-                f1 = GroupFunction(g, 0.05 + rng.random(g.shape))
-                f2 = GroupFunction(g, 0.05 + rng.random(g.shape))
-                po = build_coset_functionals(pair, exc, f1, f2)
-                worst_id = max(worst_id, po.rep_independence_residual)
-                worst_id = max(worst_id, max(c.residual for c in identity_checks(po)))
-                rep = chain_check(po, 1.0)
-                worst_step = max(worst_step, max(s.residual for s in rep.steps))
+    for _, _, _, rep, ids, steps in _chain_worst(pairs, rng, proof_seeds):
+        worst_id = max([worst_id, rep, *ids.values()])
+        worst_step = max([worst_step, *steps.values()])
     items.append(
         BatteryItem(
             "chain-identities",
@@ -276,35 +293,18 @@ def run_battery(
 def proof_chain_table(seeds: int = 100, corrupt: str = None):
     """Per-step residual rows over seeds x pairs x triples (CSV/JSON form)."""
     rng = np.random.default_rng(77)
-    pairs = _finite_pairs()
-    if corrupt == "delta":
-        pairs = [(name, corrupt_delta(p)) for name, p in pairs]
     rows = []
-    for name, pair in pairs:
-        g = pair.group
-        for p1, p2 in TRIPLES:
-            exc = young_p(p1, p2)
-            step_worst = {}
-            id_worst = {}
-            for _ in range(seeds):
-                f1 = GroupFunction(g, 0.05 + rng.random(g.shape))
-                f2 = GroupFunction(g, 0.05 + rng.random(g.shape))
-                po = build_coset_functionals(pair, exc, f1, f2)
-                for c in identity_checks(po):
-                    id_worst[c.name] = max(id_worst.get(c.name, 0.0), c.residual)
-                rep = chain_check(po, 1.0)
-                for s in rep.steps:
-                    step_worst[s.name] = max(step_worst.get(s.name, 0.0), s.residual)
-            for label, value in list(id_worst.items()) + list(step_worst.items()):
-                rows.append(
-                    {
-                        "pair": name,
-                        "p1": p1,
-                        "p2": p2,
-                        "step": label,
-                        "worst_residual": float(value),
-                        "tolerance": 1e-10,
-                        "passed": bool(value <= 1e-10),
-                    }
-                )
+    for name, p1, p2, _, ids, steps in _chain_worst(_finite_pairs(corrupt), rng, seeds):
+        for label, value in list(ids.items()) + list(steps.items()):
+            rows.append(
+                {
+                    "pair": name,
+                    "p1": p1,
+                    "p2": p2,
+                    "step": label,
+                    "worst_residual": float(value),
+                    "tolerance": 1e-10,
+                    "passed": bool(value <= 1e-10),
+                }
+            )
     return rows, all(r["passed"] for r in rows)

@@ -25,6 +25,131 @@ def _pairs():
     ]
 
 
+# Scalar reference implementations of the coset functionals, the fiber
+# tensor F and the t u norms: one group element at a time, each with its
+# own index arithmetic.
+
+
+def _ref_stu(pair, ex, v1, v2):
+    g = pair.group
+    h_idx = pair.h_indices
+    delta = pair.delta
+    delta_h = delta[h_idx]
+    big_delta = g.delta
+    p1f, p2f = float(ex.p1), float(ex.p2)
+    reps = pair.reps
+    nx = reps.size
+    inv_reps = g.inv[reps]
+    s_mat = np.empty(nx)
+    t_mat = np.empty((nx, nx))
+    u_mat = np.empty((nx, nx))
+    for x, rep in enumerate(reps):
+        hg = g.table[h_idx, rep]
+        s_mat[x] = float(np.sum(v1[hg] ** p1f)) * delta[rep]
+    for x, rep in enumerate(reps):
+        ginv = inv_reps[x]
+        for xp, repp in enumerate(reps):
+            mids = g.table[np.full_like(h_idx, ginv), g.table[h_idx, repp]]
+            powers = v2[mids] ** p2f
+            t_mat[x, xp] = float(np.sum(powers)) * delta[repp]
+            u_mat[x, xp] = float(
+                np.sum(powers * big_delta[mids] / delta_h)
+            ) * delta[rep]
+    return s_mat, t_mat, u_mat
+
+
+def _ref_fiber_f(pair, ex, v1, v2):
+    """F(x, h', x') = sum_h s t u delta(h^-1 h')^(1/p1') at representatives."""
+    g = pair.group
+    h_idx = pair.h_indices
+    delta = pair.delta
+    big_delta = g.delta
+    reps = pair.reps
+    inv_reps = g.inv[reps]
+    p1f, p2f, pf = float(ex.p1), float(ex.p2), float(ex.p)
+    inv_p1c = 1.0 - 1.0 / p1f
+    nx, nh = reps.size, h_idx.size
+    f = np.zeros((nx, nh, nx))
+    for x, rep in enumerate(reps):
+        s_vals = v1[g.table[h_idx, rep]] * delta[rep] ** (1.0 / p1f)
+        for hp_i, hp in enumerate(h_idx):
+            hp_inv = g.inv[hp]
+            for xp, repp in enumerate(reps):
+                total = 0.0
+                for h_i, h in enumerate(h_idx):
+                    # t((h'^-1 h) g_x, g_x')
+                    left = g.table[g.table[hp_inv, h], rep]
+                    t_arg = g.table[g.inv[left], repp]
+                    t_val = (v2[t_arg] ** p2f * delta[repp]) ** (1.0 / pf)
+                    # u(g_x, h^-1 h', g_x')
+                    k = g.table[g.inv[h], hp]
+                    mid = g.table[g.table[inv_reps[x], k], repp]
+                    u_val = (
+                        v2[mid] ** p2f * big_delta[mid] * delta[rep] / delta[k]
+                    ) ** inv_p1c
+                    total += s_vals[h_i] * t_val * u_val * delta[k] ** inv_p1c
+                f[x, hp_i, xp] = total
+    return f
+
+
+def _ref_tu_norms(pair, ex, v2):
+    """||h -> t(h^-1 g_x, g_x') u(g_x, h, g_x')||_{p2, H} for all (x, x')."""
+    g = pair.group
+    h_idx = pair.h_indices
+    delta = pair.delta
+    big_delta = g.delta
+    reps = pair.reps
+    inv_reps = g.inv[reps]
+    p1f, p2f, pf = float(ex.p1), float(ex.p2), float(ex.p)
+    inv_p1c = 1.0 - 1.0 / p1f
+    nx = reps.size
+    out = np.empty((nx, nx))
+    for x, rep in enumerate(reps):
+        for xp, repp in enumerate(reps):
+            total = 0.0
+            for h in h_idx:
+                left = g.table[g.inv[h], rep]
+                t_arg = g.table[g.inv[left], repp]
+                t_val = (v2[t_arg] ** p2f * delta[repp]) ** (1.0 / pf)
+                mid = g.table[g.table[inv_reps[x], h], repp]
+                u_val = (
+                    v2[mid] ** p2f * big_delta[mid] * delta[rep] / delta[h]
+                ) ** inv_p1c
+                total += (t_val * u_val) ** p2f
+            out[x, xp] = total ** (1.0 / p2f)
+    return out
+
+
+def _assert_matches_reference(po):
+    s_mat, t_mat, u_mat = _ref_stu(po.pair, po.ex, po.phi1, po.phi2)
+    np.testing.assert_array_equal(po.S, s_mat)
+    np.testing.assert_array_equal(po.T, t_mat)
+    np.testing.assert_array_equal(po.U, u_mat)
+    np.testing.assert_allclose(
+        po.F, _ref_fiber_f(po.pair, po.ex, po.phi1, po.phi2), rtol=1e-13
+    )
+    np.testing.assert_allclose(
+        po.tu_norm, _ref_tu_norms(po.pair, po.ex, po.phi2), rtol=1e-13
+    )
+
+
+def test_vectorized_chain_matches_scalar_reference():
+    rng = np.random.default_rng(6)
+    for pair in _pairs():
+        g = pair.group
+        for candidate in (pair, corrupt_delta(pair)):
+            for ex in TRIPLES:
+                f1 = GroupFunction(g, 0.05 + rng.random(g.shape))
+                f2 = GroupFunction(g, 0.05 + rng.random(g.shape))
+                _assert_matches_reference(build_coset_functionals(candidate, ex, f1, f2))
+    # functions with zeros, the case of test_functions_with_zeros_allowed
+    pair = build_subgroup_pair(cyclic_group(6), [0, 3])
+    f1 = GroupFunction(pair.group, np.array([0.0, 1.0, 0.0, 2.0, 0.0, 0.5]))
+    f2 = GroupFunction(pair.group, np.array([1.0, 0.0, 0.0, 0.0, 3.0, 0.0]))
+    for ex in TRIPLES:
+        _assert_matches_reference(build_coset_functionals(pair, ex, f1, f2))
+
+
 def test_identities_and_chain_random_instances():
     rng = np.random.default_rng(0)
     for pair in _pairs():

@@ -40,13 +40,20 @@ def test_exit_code_bad_exponents():
     assert _run(["catalog", "--p1", "1/2", "--p2", "2"]).returncode == 2
 
 
-def test_exit_code_bad_restarts():
-    for restarts in ("0", "-1"):
-        proc = _run(
-            ["estimate", "--group", "Zmod:6", "--p1", "4/3", "--p2", "3/2",
-             "--restarts", restarts]
-        )
-        assert proc.returncode == 2
+def test_exit_code_bad_counts():
+    estimate = ["estimate", "--group", "Zmod:6", "--p1", "4/3", "--p2", "3/2"]
+    for argv in (
+        estimate + ["--restarts", "0"],
+        estimate + ["--restarts", "-1"],
+        estimate + ["--seed", "-1"],
+        estimate + ["--iters", "-3"],
+        estimate + ["--tol", "nan"],
+        estimate + ["--tol", "-1"],
+        ["verify", "--proof-chain", "--seeds", "0"],
+        ["verify", "--seeds", "-1", "--no-estimates"],
+    ):
+        proc = _run(argv)
+        assert proc.returncode == 2, argv
         assert "Traceback" not in proc.stderr
 
 
