@@ -183,7 +183,10 @@ def cmd_estimate(args) -> int:
     ex = _parse_triple(args)
     try:
         model = _build_model(args.group)
-    except (GroupModelError, KeyError, ValueError, IndexError, OSError) as exc:
+    except (
+        GroupModelError, KeyError, ValueError, IndexError, OSError, MemoryError,
+        OverflowError,
+    ) as exc:
         print(f"error: cannot build model from {args.group!r}: {exc}", file=sys.stderr)
         return EXIT_BAD_MODEL
     if ex.boundary:

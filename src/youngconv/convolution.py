@@ -15,6 +15,13 @@ group is non-abelian so there is no FFT shortcut, but for each pair of
 log-scale rows the b-axis coupling is a Toeplitz matrix, which the code
 applies as a batched 1-d convolution.  An operand shared by every row of
 such a loop is transformed once and reused as a spectrum.
+
+Every kernel, adjoint and norm also takes a stack of functions: leading
+axes in front of the model's own (numpy ``...`` style), reduced only over
+the model's axes, so the estimator advances all its restarts in one call.
+A single function keeps the arithmetic of the unbatched expressions; the
+1-d grids convolve a stack by FFT along the last axis, as np.convolve has
+no batched form.
 """
 
 from __future__ import annotations
@@ -42,13 +49,14 @@ _T01 = 0.5 * (_GL_NODES + 1.0)
 _W01 = 0.5 * _GL_WEIGHTS
 
 
-def fftconvolve(in1, in2, n=None):
+def fftconvolve(in1, in2, n=None, axes=None):
     """Full linear convolution of real arrays by FFT.
 
-    Without ``n`` it convolves over every axis and is, bit for bit, what
-    ``scipy.signal.fftconvolve`` computes in 'full' mode for real inputs
-    longer than 1 along each axis: rfftn of both inputs at ``next_fast_len``
-    of the full lengths, their product, irfftn and the 'full' slice.
+    Without ``n`` it convolves over ``axes`` (default: every axis) and is,
+    bit for bit, what ``scipy.signal.fftconvolve`` computes in 'full' mode
+    for real inputs longer than 1 along each of them: rfftn of both inputs
+    at ``next_fast_len`` of the full lengths, their product, irfftn and the
+    'full' slice.
 
     With ``n`` it convolves along the last axis at FFT length n and returns
     all n samples, of which the first len1 + len2 - 1 are the full
@@ -59,10 +67,24 @@ def fftconvolve(in1, in2, n=None):
         sp1 = in1 if np.iscomplexobj(in1) else sp_fft.rfft(in1, n)
         sp2 = in2 if np.iscomplexobj(in2) else sp_fft.rfft(in2, n)
         return sp_fft.irfft(sp1 * sp2, n)
-    shape = [k1 + k2 - 1 for k1, k2 in zip(in1.shape, in2.shape)]
+    axes = tuple(range(in1.ndim)) if axes is None else axes
+    shape = [in1.shape[a] + in2.shape[a] - 1 for a in axes]
     fshape = [sp_fft.next_fast_len(k, True) for k in shape]
-    spec = sp_fft.rfftn(in1, fshape) * sp_fft.rfftn(in2, fshape)
-    return sp_fft.irfftn(spec, fshape)[tuple(slice(k) for k in shape)]
+    spec = sp_fft.rfftn(in1, fshape, axes=axes) * sp_fft.rfftn(in2, fshape, axes=axes)
+    full = sp_fft.irfftn(spec, fshape, axes=axes)
+    index = [slice(None)] * full.ndim
+    for a, k in zip(axes, shape):
+        index[a] = slice(k)
+    return full[tuple(index)]
+
+
+def _convolve_last(a, b):
+    """Full linear convolution along the last axis: np.convolve for two
+    single rows, one FFT over a whole stack otherwise."""
+    if a.ndim == 1 and b.ndim == 1:
+        return np.convolve(a, b)
+    full = a.shape[-1] + b.shape[-1] - 1
+    return fftconvolve(a, b, n=sp_fft.next_fast_len(full, True))[..., :full]
 
 
 def _row_spectrum(values, full):
@@ -76,18 +98,42 @@ def _pf(p) -> float:
     return float(p if isinstance(p, Exponent) else Exponent(p))
 
 
-def _weighted_norm(weight, values, pf: float) -> float:
-    """(sum w |v|^p)^(1/p) with overflow-safe rescaling; max for p = inf."""
-    mags = np.abs(values)
+def _scalar_or_rows(x):
+    """A float for one function, the array itself for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _divisor(peak, axes):
+    """Peaks as divisors of values with ``axes`` trailing axes; a zero peak
+    divides by 1 (its values are all 0).  A float for one function."""
+    if np.ndim(peak) == 0:
+        return float(peak) or 1.0
+    return np.where(peak == 0.0, 1.0, peak).reshape(peak.shape + (1,) * axes)
+
+
+def _scaled_root(peak, total, pf):
+    """peak * total^(1/p), 0 where the peak is 0.  The last step is float
+    arithmetic per row, so a row of a stack gets exactly the value that
+    the same function has alone."""
+    inv = 1.0 / pf
+    if np.ndim(peak) == 0:
+        return float(peak) * float(total) ** inv if peak != 0.0 else 0.0
+    rows = zip(peak.ravel().tolist(), total.ravel().tolist())
+    return np.array([pk * t**inv if pk != 0.0 else 0.0 for pk, t in rows]).reshape(peak.shape)
+
+
+def _weighted_norm(weight, values, pf: float):
+    """(sum w |v|^p)^(1/p) over the trailing ``weight.ndim`` axes, with
+    overflow-safe rescaling; max for p = inf."""
+    batch = values.shape[: values.ndim - weight.ndim]
+    mags = np.abs(values).reshape(batch + (-1,))
+    peak = mags.max(axis=-1, initial=0.0)
     if math.isinf(pf):
-        return float(mags.max()) if mags.size else 0.0
-    peak = float(mags.max()) if mags.size else 0.0
-    if peak == 0.0:
-        return 0.0
-    mags /= peak
+        return _scalar_or_rows(peak)
+    mags /= _divisor(peak, 1)
     mags **= pf
-    mags *= weight
-    return peak * float(mags.sum()) ** (1.0 / pf)
+    mags *= weight.reshape(-1)
+    return _scaled_root(peak, mags.sum(axis=-1), pf)
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +145,10 @@ class ConvolutionResult:
 
     def __init__(self, model, truncation_mass=0.0):
         self.model = model
-        self.truncation_mass = float(truncation_mass)
+        self.truncation_mass = _scalar_or_rows(truncation_mass)
 
-    def lp_norm(self, p) -> float:
+    def lp_norm(self, p):
+        """The Lp norm: a float, or one per function of a stack."""
         raise NotImplementedError
 
     def dual_power(self, exponent: float) -> "ConvolutionResult":
@@ -120,7 +167,7 @@ class CellConvolution(ConvolutionResult):
         self.values = values
         self.weight = weight
 
-    def lp_norm(self, p) -> float:
+    def lp_norm(self, p):
         return _weighted_norm(self.weight, self.values, _pf(p))
 
 
@@ -142,12 +189,12 @@ class LinePWL(ConvolutionResult):
         self.h = float(h)
         self.values = values
 
-    def lp_norm(self, p) -> float:
+    def lp_norm(self, p):
         pf = _pf(p)
         mags = np.abs(self.values)
         if math.isinf(pf):
-            return float(mags.max())
-        return _pwl_norm(mags[:-1], mags[1:], self.h, pf)
+            return _scalar_or_rows(mags.max(axis=-1))
+        return _pwl_norm(mags[..., :-1], mags[..., 1:], self.h, pf)
 
 
 class TorusPWL(ConvolutionResult):
@@ -158,12 +205,12 @@ class TorusPWL(ConvolutionResult):
         self.h = model.h
         self.values = values
 
-    def lp_norm(self, p) -> float:
+    def lp_norm(self, p):
         pf = _pf(p)
         mags = np.abs(self.values)
         if math.isinf(pf):
-            return float(mags.max())
-        return _pwl_norm(mags, np.roll(mags, -1), self.h, pf)
+            return _scalar_or_rows(mags.max(axis=-1))
+        return _pwl_norm(mags, np.roll(mags, -1, axis=-1), self.h, pf)
 
 
 class PlanePWL(ConvolutionResult):
@@ -175,9 +222,16 @@ class PlanePWL(ConvolutionResult):
         self.h = float(h)
         self.values = values
 
-    def lp_norm(self, p) -> float:
+    def lp_norm(self, p):
         pf = _pf(p)
-        v = np.abs(self.values)[..., None, None]
+        # one function at a time: the Gauss-node temporaries below are 64
+        # times the knot grid, so they are not built for a whole stack
+        stack = self.values.reshape((-1,) + self.values.shape[-2:])
+        norms = np.array([self._knot_norm(v, pf) for v in stack])
+        return _scalar_or_rows(norms.reshape(self.values.shape[:-2]))
+
+    def _knot_norm(self, values, pf):
+        v = np.abs(values)[..., None, None]
         peak = float(v.max())
         if math.isinf(pf) or peak == 0.0:
             return peak
@@ -198,17 +252,14 @@ class PlanePWL(ConvolutionResult):
 
 
 def _pwl_norm(a, b, h, pf):
-    """Lp norm of linear segments a -> b of common width h (8-node Gauss);
-    a and b are the magnitudes at the segment ends."""
-    peak = max(a.max(initial=0.0), b.max(initial=0.0))
-    if peak == 0.0:
-        return 0.0
+    """Lp norm of linear segments a -> b of common width h (8-node Gauss)
+    along the last axis; a and b are the magnitudes at the segment ends."""
+    peak = np.maximum(a.max(axis=-1, initial=0.0), b.max(axis=-1, initial=0.0))
     seg = np.multiply.outer(b - a, _T01)
-    seg += a[:, None]
-    seg /= peak
+    seg += a[..., None]
+    seg /= _divisor(peak, 2)
     seg **= pf
-    total = float((seg @ _W01).sum() * h)
-    return peak * total ** (1.0 / pf)
+    return _scaled_root(peak, (seg @ _W01).sum(axis=-1) * h, pf)
 
 
 # ---------------------------------------------------------------------------
@@ -240,28 +291,30 @@ def _convolve(model, v1, v2, de, enlarged=True):
 
 
 def _integer_line_convolve(model, v1, v2, de, enlarged):
-    vals = np.convolve(v1, v2)
-    return CellConvolution(model, vals, np.ones_like(vals))
+    vals = _convolve_last(v1, v2)
+    return CellConvolution(model, vals, np.ones(vals.shape[-1]))
 
 
 def _real_line_convolve(model, v1, v2, de, enlarged):
-    core = np.convolve(v1, v2)
-    knots = np.zeros(core.size + 2)
-    np.multiply(model.h, core, out=knots[1:-1])
+    core = _convolve_last(v1, v2)
+    knots = np.zeros(core.shape[:-1] + (core.shape[-1] + 2,))
+    np.multiply(model.h, core, out=knots[..., 1:-1])
     return LinePWL(model, -2.0 * model.half_width, model.h, knots)
 
 
 def _torus_convolve(model, v1, v2, de, enlarged):
-    full = np.convolve(v1, v2)
-    folded = np.bincount(np.arange(full.size) % model.n, weights=full, minlength=model.n)
+    n = model.n
+    full = _convolve_last(v1, v2)
+    folded = full[..., :n].copy()
+    folded[..., : n - 1] += full[..., n:]
     # knot k sits at position k*h and collects pairs with i+j = k-1 mod n
-    return TorusPWL(model, model.h * np.roll(folded, 1))
+    return TorusPWL(model, model.h * np.roll(folded, 1, axis=-1))
 
 
 def _plane_convolve(model, v1, v2, de, enlarged):
-    core = model.h * model.h * fftconvolve(v1, v2)
-    knots = np.zeros((core.shape[0] + 2, core.shape[1] + 2))
-    knots[1:-1, 1:-1] = core
+    core = model.h * model.h * fftconvolve(v1, v2, axes=(-2, -1))
+    knots = np.zeros(core.shape[:-2] + (core.shape[-2] + 2, core.shape[-1] + 2))
+    knots[..., 1:-1, 1:-1] = core
     return PlanePWL(model, -2.0 * model.half_width, model.h, knots)
 
 
@@ -270,25 +323,24 @@ def _finite_kernel(model: FiniteGroup, v2, de):
     lookup = getattr(model, "_conv_index", None)
     if lookup is None:
         lookup = model._conv_index = model.table[model.inv, :]
-    kernel = v2[lookup]
+    kernel = np.take(v2, lookup, axis=-1)  # C order, as for one function
     if de != 0.0:
         kernel = kernel * model.delta[lookup] ** de
     return kernel
 
 
+def _vec_mat(v, m):
+    """v @ m for row vectors v; both may carry leading stack axes."""
+    return (v[..., None, :] @ m)[..., 0, :]
+
+
+def _mat_vec(m, v):
+    """m @ v for column vectors v; both may carry leading stack axes."""
+    return (m @ v[..., None])[..., 0]
+
+
 def _finite_convolve(model, v1, v2, de, enlarged=True):
-    return CellConvolution(model, v1 @ _finite_kernel(model, v2, de), model.weight)
-
-
-def _affine_out_b_grid(model: AffineModel):
-    """Enlarged b window covering every product of two carrier points."""
-    reach = (
-        math.exp(model.u_half_width) * model.b_half_width + model.b_half_width
-    )
-    kb = int(math.ceil(reach / model.h_b))
-    n_out = 2 * kb
-    centers = (np.arange(n_out) - kb + 0.5) * model.h_b
-    return centers
+    return CellConvolution(model, _vec_mat(v1, _finite_kernel(model, v2, de)), model.weight)
 
 
 def _affine_kernel_cols(model: AffineModel, out_b):
@@ -311,7 +363,7 @@ def _affine_convolve(model: AffineModel, v1, v2, de, enlarged):
     ku = (nu - 1) // 2  # U / h_u
     if enlarged:
         out_u = (np.arange(2 * nu - 1) - 2 * ku) * h_u
-        out_b = _affine_out_b_grid(model)
+        out_b = model.out_b_centers
         row_shift = 0
     else:
         out_u = u
@@ -320,27 +372,29 @@ def _affine_convolve(model: AffineModel, v1, v2, de, enlarged):
     n_rows, n_out = out_u.size, out_b.size
     col, valid = _affine_kernel_cols(model, out_b)
     nfft, spec1 = _row_spectrum(v1 * model.weight, nb + col.shape[1] - 1)
-    psi = np.zeros((n_rows, n_out))
+    batch = v1.shape[:-2]
+    psi = np.zeros(batch + (n_rows, n_out))
     for r in range(nu):
-        row2 = v2[r]
+        row2 = v2[..., r, :]
         if not np.any(row2):
             continue
-        kern = np.where(valid, row2[col], 0.0)
-        contrib = fftconvolve(spec1, kern, n=nfft)[:, nb - 1 : nb - 1 + n_out]
+        kern = np.where(valid, np.take(row2, col, axis=-1), 0.0)
+        contrib = fftconvolve(spec1, kern, n=nfft)[..., nb - 1 : nb - 1 + n_out]
         dfac = math.exp(-de * u[r]) if de != 0.0 else 1.0
         lo = max(0, row_shift - r)
         hi = min(nu, n_rows + row_shift - r)
-        psi[r + lo - row_shift : r + hi - row_shift] += dfac * contrib[lo:hi]
+        psi[..., r + lo - row_shift : r + hi - row_shift, :] += dfac * contrib[..., lo:hi, :]
     out_mass = (
         np.exp(-out_u)[:, None]
         * (2.0 * math.sinh(h_u / 2.0) * h_b)
         * np.ones(n_out)[None, :]
     )
-    in_mass = float(np.sum(model.weight * np.abs(v1))) * float(
-        np.sum(model.weight * np.abs(v2) * model.delta**de)
-    )
-    covered = float(np.sum(out_mass * np.abs(psi)))
-    trunc = max(0.0, in_mass - covered)
+
+    def mass(x):
+        return x.reshape(batch + (-1,)).sum(axis=-1)
+
+    in_mass = mass(model.weight * np.abs(v1)) * mass(model.weight * np.abs(v2) * model.delta**de)
+    trunc = np.maximum(0.0, in_mass - mass(out_mass * np.abs(psi)))
     return AffineConvolution(model, psi, out_mass, out_u, out_b, trunc)
 
 
@@ -499,21 +553,24 @@ def _affine_residual(model, v1, v2, ex):
 # decided by the exactly evaluated ratio.
 
 
-def centered_integrals(values, h):
-    """Exact integrals of a PWL function over [knot - h/2, knot + h/2]."""
-    padded = np.concatenate(([0.0], np.asarray(values, dtype=float), [0.0]))
-    return (h / 8.0) * (padded[:-2] + 6.0 * padded[1:-1] + padded[2:])
+def centered_integrals(values, h, axis=-1):
+    """Exact integrals of a PWL function over [knot - h/2, knot + h/2],
+    with knots along ``axis``."""
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
+    padded = np.zeros(v.shape[:-1] + (v.shape[-1] + 2,))
+    padded[..., 1:-1] = v
+    out = (h / 8.0) * (padded[..., :-2] + 6.0 * padded[..., 1:-1] + padded[..., 2:])
+    return np.moveaxis(out, -1, axis)
 
 
 def _centered_integrals_cyclic(values, h):
-    return (h / 8.0) * (np.roll(values, 1) + 6.0 * values + np.roll(values, -1))
+    return (h / 8.0) * (
+        np.roll(values, 1, axis=-1) + 6.0 * values + np.roll(values, -1, axis=-1)
+    )
 
 
 def _centered_integrals_2d(values, h):
-    pad = np.pad(np.asarray(values, dtype=float), 1)
-    rows = (h / 8.0) * (pad[:-2, 1:-1] + 6.0 * pad[1:-1, 1:-1] + pad[2:, 1:-1])
-    pad2 = np.pad(rows, ((0, 0), (1, 1)))
-    return (h / 8.0) * (pad2[:, :-2] + 6.0 * pad2[:, 1:-1] + pad2[:, 2:])
+    return centered_integrals(centered_integrals(values, h, axis=-2), h, axis=-1)
 
 
 def ascent_direction_phi1(model, phi2_vals, w, de):
@@ -527,11 +584,11 @@ def ascent_direction_phi2(model, phi1_vals, w, de):
 
 
 def _finite_ascent_phi1(model, phi2_vals, w, de):
-    return _finite_kernel(model, phi2_vals, de) @ w.values
+    return _mat_vec(_finite_kernel(model, phi2_vals, de), w.values)
 
 
 def _finite_ascent_phi2(model, phi1_vals, w, de):
-    out = phi1_vals @ w.values[model.table]
+    out = _vec_mat(phi1_vals, np.take(w.values, model.table, axis=-1))
     if de != 0.0:
         out = out * model.delta**de
     return out
@@ -543,30 +600,30 @@ def _finite_ascent_phi2(model, phi1_vals, w, de):
 
 def _integer_line_correlate(model, f, w, de):
     n = model.size
-    full = np.convolve(w.values, f[::-1])
-    return full[n - 1 : 2 * n - 1]
+    full = _convolve_last(w.values, f[..., ::-1])
+    return full[..., n - 1 : 2 * n - 1]
 
 
 def _real_line_correlate(model, f, w, de):
     n = model.size
     windows = centered_integrals(w.values, model.h)
-    full = np.convolve(windows, f[::-1])
-    return full[n : 2 * n]
+    full = _convolve_last(windows, f[..., ::-1])
+    return full[..., n : 2 * n]
 
 
 def _torus_correlate(model, f, w, de):
     # out[k] = sum_j f[j] a[(j + k) mod n] for the shifted window integrals a
     n = model.n
-    a = np.roll(_centered_integrals_cyclic(w.values, model.h), -1)
-    full = np.convolve(np.concatenate((a, a)), f[::-1])
-    return full[n - 1 : 2 * n - 1]
+    a = np.roll(_centered_integrals_cyclic(w.values, model.h), -1, axis=-1)
+    full = _convolve_last(np.concatenate((a, a), axis=-1), f[..., ::-1])
+    return full[..., n - 1 : 2 * n - 1]
 
 
 def _plane_correlate(model, f, w, de):
     n = model.centers.size
     windows = _centered_integrals_2d(w.values, model.h)
-    full = fftconvolve(windows, f[::-1, ::-1])
-    return full[n : 2 * n, n : 2 * n]
+    full = fftconvolve(windows, f[..., ::-1, ::-1], axes=(-2, -1))
+    return full[..., n : 2 * n, n : 2 * n]
 
 
 def _affine_ascent_phi1(model: AffineModel, v2, w: AffineConvolution, de):
@@ -584,10 +641,10 @@ def _affine_ascent_phi1(model: AffineModel, v2, w: AffineConvolution, de):
     n_out = w.b_centers.size
     col, valid = _affine_kernel_cols(model, w.b_centers)
     nfft, spec_w = _row_spectrum(w.values * w.weight, n_out + col.shape[1] - 1)
-    out = np.zeros((nu, nb))
-    n_rows = w.values.shape[0]
+    out = np.zeros(v2.shape)
+    n_rows = w.values.shape[-2]
     for r in range(nu):
-        row2 = v2[r]
+        row2 = v2[..., r, :]
         if not np.any(row2):
             continue
         shift = r - base - 2 * ku  # dual row m = i + shift
@@ -595,11 +652,11 @@ def _affine_ascent_phi1(model: AffineModel, v2, w: AffineConvolution, de):
         hi = min(nu, n_rows - shift)
         if lo >= hi:
             continue
-        kern = np.where(valid[lo:hi], row2[col[lo:hi]], 0.0)
-        corr = fftconvolve(spec_w[lo + shift : hi + shift], kern[:, ::-1], n=nfft)
-        sel = corr[:, n_out - 1 : n_out - 1 + nb]
+        kern = np.where(valid[lo:hi], np.take(row2, col[lo:hi], axis=-1), 0.0)
+        corr = fftconvolve(spec_w[..., lo + shift : hi + shift, :], kern[..., ::-1], n=nfft)
+        sel = corr[..., n_out - 1 : n_out - 1 + nb]
         dfac = math.exp(-de * u[r]) if de != 0.0 else 1.0
-        out[lo:hi] += dfac * sel
+        out[..., lo:hi, :] += dfac * sel
     return out
 
 
@@ -616,31 +673,32 @@ def _affine_ascent_phi2(model: AffineModel, v1, w: AffineConvolution, de):
     ku = (nu - 1) // 2
     base = int(round(w.u_points[0] / model.h_u))
     n_w = w.b_centers.size
-    n_rows = w.values.shape[0]
+    n_rows = w.values.shape[-2]
     v1w = v1 * model.weight
     full = n_w + nb - 1
     nfft, spec_w = _row_spectrum(w.values, full)
-    spec1 = sp_fft.rfft(v1w[:, ::-1], nfft)
+    spec1 = sp_fft.rfft(v1w[..., ::-1], nfft)
     # gather index of e^{u_i} b_c inside the correlation, one row per i
     targets = np.exp(u)[:, None] * model.b_centers[None, :]
     rel = (targets + (model.b_centers[0] - w.b_centers[0])) / h_b + 0.5
     gather = np.floor(rel).astype(int) + (nb - 1)
-    out = np.zeros((nu, nb))
+    out = np.zeros(v1.shape)
     for c in range(nu):
         shift = c - 2 * ku - base  # dual row m = i + shift
         lo = max(0, -shift)
         hi = min(nu, n_rows - shift)
         if lo >= hi:
             continue
-        if not np.any(v1w[lo:hi]):
+        if not np.any(v1w[..., lo:hi, :]):
             continue
-        corr = fftconvolve(spec_w[lo + shift : hi + shift], spec1[lo:hi], n=nfft)
+        corr = fftconvolve(spec_w[..., lo + shift : hi + shift, :], spec1[..., lo:hi, :], n=nfft)
         idx = gather[lo:hi]
         ok = (idx >= 0) & (idx < full)
-        vals = np.take_along_axis(corr, np.clip(idx, 0, full - 1), axis=1)
-        acc = np.where(ok, vals, 0.0).sum(axis=0)
+        safe = np.broadcast_to(np.clip(idx, 0, full - 1), corr.shape[:-1] + (nb,))
+        vals = np.take_along_axis(corr, safe, axis=-1)
+        acc = np.where(ok, vals, 0.0).sum(axis=-2)
         dfac = math.exp(-de * u[c]) if de != 0.0 else 1.0
-        out[c] = dfac * acc
+        out[..., c, :] = dfac * acc
     return out
 
 

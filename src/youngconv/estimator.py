@@ -6,9 +6,18 @@ first-order update phi1 <- normalize((A* w)^(1/(p1-1))) with w the dual
 Every proposed step passes a line search that accepts only ratio
 non-decrease, so each restart's trace is nondecreasing and the final value
 is a genuinely evaluated ratio, i.e. a certified lower bound (up to the
-model's truncation diagnostics).  Restarts draw nonnegative random starts
-from per-restart child seeds, so concurrent execution cannot change
-results.  No claim is made that the global supremum is reached.
+model's truncation diagnostics).  No claim is made that the global
+supremum is reached.
+
+All restarts of one estimate advance in lockstep, in one process: their
+iterates are stacked along a leading axis, every half-step computes the
+adjoint, the proposal and the normalization once for all restarts still
+running, the line search re-evaluates only the rows that rejected the
+previous step length, and a restart leaves the stack when it converges.
+Restart k draws its nonnegative random starts from its own generator
+``default_rng([seed, k])`` and takes the same steps it would take alone,
+so its result does not depend on the other restarts.  The winner of each
+restart is certified on its own, through the unbatched ratio path.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from .groups import AffineModel, GroupFunction, GroupModel, GroupModelError
 from .convolution import (
     _convolve,
     _delta_exponent,
+    _divisor,
     _normalized_convolve,
     _weighted_norm,
     ascent_direction_phi1,
@@ -56,6 +66,8 @@ class RestartResult:
     trace: list
     pair: tuple
     truncation_mass: float
+    # ratio evaluations of the line search (a diagnostic; not in the JSON)
+    ls_tries: int
 
 
 @dataclass
@@ -117,11 +129,13 @@ class EstimateReport:
 
 
 def _normalize(model, values, p: Exponent):
+    """Values scaled to unit p-norm, with the norms; a function (or a row of
+    a stack) of norm 0 comes back unscaled."""
     norm = _weighted_norm(model.weight, values, float(p))
     # a NaN or inf entry makes the norm NaN or inf, for every p
-    if not math.isfinite(norm):
+    if not np.all(np.isfinite(norm)):
         raise GroupModelError("function values must be finite")
-    return (values / norm, norm) if norm > 0 else (values, 0.0)
+    return values / _divisor(norm, model.weight.ndim), norm
 
 
 def _loop_ratio(model, v1, v2, de, p: Exponent):
@@ -131,77 +145,151 @@ def _loop_ratio(model, v1, v2, de, p: Exponent):
     return psi.lp_norm(p), psi
 
 
-def _run_restart(model, ex: YoungExponents, cfg, restart_index):
-    rng = np.random.default_rng([cfg.seed, restart_index])
-    de = float(_delta_exponent(ex))
-    p1f, p2f, pf = float(ex.p1), float(ex.p2), float(ex.p)
-    reinits = 0
-    while True:
-        v1, n1 = _normalize(model, model.random_start(rng), ex.p1)
-        v2, n2 = _normalize(model, model.random_start(rng), ex.p2)
-        ratio, psi = _loop_ratio(model, v1, v2, de, ex.p)
-        if ratio > 0 or reinits >= 8:
-            break
-        reinits += 1
-    trace = [ratio]
-    converged = False
-    iterations = 0
+def _random_pairs(model, ex: YoungExponents, rngs):
+    """Normalized random starts (phi1, phi2) as stacks, one row per
+    generator; each generator draws phi1 first."""
+    starts = [(model.random_start(rng), model.random_start(rng)) for rng in rngs]
+    v1, _ = _normalize(model, np.stack([a for a, _ in starts]), ex.p1)
+    v2, _ = _normalize(model, np.stack([b for _, b in starts]), ex.p2)
+    return v1, v2
+
+
+class _Lockstep:
+    """The iterates of every restart still running, as stacks.
+
+    Row j of ``pair[0]`` (phi1), ``pair[1]`` (phi2), ``ratio`` and
+    ``psi.values`` belongs to restart ``index[j]``.  ``psi.values`` is always
+    the convolution of the current pair; the loop reads nothing else of
+    ``psi``, so its truncation diagnostic is not kept current.  A row does
+    exactly what a lone restart would: it draws from its own generator,
+    skips where a lone restart skips and accepts the same steps, so
+    restarts stay independent of each other and of how many run.
+    """
+
+    def __init__(self, model, ex: YoungExponents, cfg):
+        self.model, self.ex = model, ex
+        self.de = float(_delta_exponent(ex))
+        self.rngs = [np.random.default_rng([cfg.seed, k]) for k in range(cfg.restarts)]
+        self.index = np.arange(cfg.restarts)
+        self.ls_tries = np.zeros(cfg.restarts, dtype=int)
+        self.pair = list(_random_pairs(model, ex, self.rngs))
+        self.ratio, self.psi = _loop_ratio(model, *self.pair, self.de, ex.p)
+        # a start whose convolution has zero norm is drawn again, 8 times at most
+        for _ in range(8):
+            rows = np.flatnonzero(~(self.ratio > 0))
+            if rows.size == 0:
+                break
+            self.redraw(rows)
+
+    def redraw(self, rows):
+        """Fresh random pairs for the given rows, and their ratios."""
+        v1, v2 = _random_pairs(self.model, self.ex, [self.rngs[k] for k in self.index[rows]])
+        self.pair[0][rows], self.pair[1][rows] = v1, v2
+        self.ratio[rows], psi = _loop_ratio(self.model, v1, v2, self.de, self.ex.p)
+        self.psi.values[rows] = psi.values
+
+    def half_step(self, side, live):
+        """One proposal for phi1 (side 0) or phi2 (side 1) on the rows in
+        the mask ``live``, then a backtracking line search on them."""
+        model, ex, de = self.model, self.ex, self.de
+        current, other = self.pair[side], self.pair[1 - side]
+        pexp = ex.p1 if side == 0 else ex.p2
+        adjoint = ascent_direction_phi1 if side == 0 else ascent_direction_phi2
+        w = self.psi.dual_power(float(ex.p) - 1.0)
+        grad = np.maximum(adjoint(model, other, w, de), 0.0)
+        flat = grad.reshape(len(self.index), -1)
+        live = live & flat.any(axis=1)
+        peak = np.where(live, flat.max(axis=1), 1.0)
+        lift = np.reshape(peak, (-1,) + (1,) * len(model.shape))
+        proposal, norm = _normalize(model, (grad / lift) ** (1.0 / (float(pexp) - 1.0)), pexp)
+        pending = np.flatnonzero(live & (norm != 0.0))
+        # backtracking toward the previous iterate; each try evaluates only
+        # the rows that rejected every earlier t
+        for t in (1.0, 0.5, 0.25, 0.125):
+            if pending.size == 0:
+                break
+            blend = (1.0 - t) * current[pending] + t * proposal[pending]
+            cand, norm = _normalize(model, blend, pexp)
+            tried = norm != 0.0
+            rows, cand = pending[tried], cand[tried]
+            if rows.size == 0:
+                continue
+            self.ls_tries[self.index[rows]] += 1
+            args = (cand, other[rows]) if side == 0 else (other[rows], cand)
+            cand_ratio, cand_psi = _loop_ratio(model, *args, de, ex.p)
+            ok = cand_ratio >= self.ratio[rows]
+            accepted = rows[ok]
+            current[accepted] = cand[ok]
+            self.ratio[accepted] = cand_ratio[ok]
+            self.psi.values[accepted] = cand_psi.values[ok]
+            keep = ~tried
+            keep[tried] = ~ok
+            pending = pending[keep]
+
+    def iterate(self):
+        """One iteration of every row: phi1 then phi2.  A row whose
+        convolution vanished is drawn again and skips the rest of it."""
+        n = len(self.index)
+        fresh = np.zeros(n, dtype=bool)
+        for side in (0, 1):
+            vanished = ~fresh & ~self.psi.values.reshape(n, -1).any(axis=1)
+            if vanished.any():
+                self.redraw(np.flatnonzero(vanished))
+                fresh |= vanished
+            if not fresh.all():
+                self.half_step(side, ~fresh)
+
+    def retire(self, rows):
+        """Drop the given rows from the stacks; returns their (phi1, phi2)."""
+        out = [(self.pair[0][j].copy(), self.pair[1][j].copy()) for j in rows]
+        keep = np.ones(len(self.index), dtype=bool)
+        keep[rows] = False
+        self.pair = [v[keep] for v in self.pair]
+        self.ratio = self.ratio[keep]
+        self.psi.values = self.psi.values[keep]
+        self.index = self.index[keep]
+        return out
+
+
+def _run_restarts(model, ex: YoungExponents, cfg):
+    """Every restart of one estimate, advanced in lockstep; results in
+    restart order."""
+    stack = _Lockstep(model, ex, cfg)
+    traces = [[r] for r in stack.ratio.tolist()]
+    ended = {}  # restart -> (iterations, converged, pair)
     # convergence is judged on the gain over a window of iterations, not a
     # single step: slow geometric crawls stop with O(tol) of value left on
     # the table either way, but the window keeps that slop near tol itself
     window = 64
+    iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        # psi is always the convolution of the current pair (v1, v2)
-        for side in (1, 2):
-            if not psi.values.any():
-                v1, _ = _normalize(model, model.random_start(rng), ex.p1)
-                v2, _ = _normalize(model, model.random_start(rng), ex.p2)
-                ratio, psi = _loop_ratio(model, v1, v2, de, ex.p)
-                break
-            w = psi.dual_power(pf - 1.0)
-            if side == 1:
-                grad = ascent_direction_phi1(model, v2, w, de)
-                expo = 1.0 / (p1f - 1.0)
-                current, pexp = v1, ex.p1
-            else:
-                grad = ascent_direction_phi2(model, v1, w, de)
-                expo = 1.0 / (p2f - 1.0)
-                current, pexp = v2, ex.p2
-            grad = np.maximum(grad, 0.0)
-            if not grad.any():
-                continue
-            peak = grad.max()
-            proposal, norm = _normalize(model, (grad / peak) ** expo, pexp)
-            if norm == 0.0:
-                continue
-            # backtracking toward the previous iterate
-            for t in (1.0, 0.5, 0.25, 0.125):
-                blend = (1.0 - t) * current + t * proposal
-                cand, norm = _normalize(model, blend, pexp)
-                if norm == 0.0:
-                    continue
-                cand_ratio, cand_psi = (
-                    _loop_ratio(model, cand, v2, de, ex.p)
-                    if side == 1
-                    else _loop_ratio(model, v1, cand, de, ex.p)
-                )
-                if cand_ratio >= ratio:
-                    if side == 1:
-                        v1 = cand
-                    else:
-                        v2 = cand
-                    ratio, psi = cand_ratio, cand_psi
-                    break
-        trace.append(ratio)
-        anchor = trace[max(0, len(trace) - 1 - window)]
-        if ratio > 0 and (ratio - anchor) <= cfg.tol * max(anchor, 1e-300):
-            converged = True
+        stack.iterate()
+        done = []
+        for j, (k, ratio) in enumerate(zip(stack.index.tolist(), stack.ratio.tolist())):
+            trace = traces[k]
+            trace.append(ratio)
+            anchor = trace[max(0, len(trace) - 1 - window)]
+            if ratio > 0 and (ratio - anchor) <= cfg.tol * max(anchor, 1e-300):
+                done.append(j)
+        if done:
+            finished = stack.index[done].tolist()
+            for k, pair in zip(finished, stack.retire(done)):
+                ended[k] = (iterations, True, pair)
+        if stack.index.size == 0:
             break
-    certified = _normalized_convolve(GroupFunction(model, v1), GroupFunction(model, v2), ex)
-    return RestartResult(
-        restart_index, certified.lp_norm(ex.p), iterations, converged, trace, (v1, v2),
-        certified.truncation_mass,
-    )
+    for k, pair in zip(stack.index.tolist(), stack.retire(np.arange(stack.index.size))):
+        ended[k] = (iterations, False, pair)
+    results = []
+    for k in range(cfg.restarts):
+        its, converged, (v1, v2) = ended[k]
+        certified = _normalized_convolve(GroupFunction(model, v1), GroupFunction(model, v2), ex)
+        results.append(
+            RestartResult(
+                k, certified.lp_norm(ex.p), its, converged, traces[k], (v1, v2),
+                certified.truncation_mass, int(stack.ls_tries[k]),
+            )
+        )
+    return results
 
 
 def estimate(
@@ -228,7 +316,7 @@ def estimate(
         raise ValueError("empty carrier")
     if cfg.restarts < 1:
         raise ValueError(f"the estimator needs restarts >= 1, got {cfg.restarts}")
-    results = [_run_restart(model, ex, cfg, k) for k in range(cfg.restarts)]
+    results = _run_restarts(model, ex, cfg)
     best = max(results, key=lambda r: (r.ratio, -r.index))
     refs = [("classical", 1.0)]
     if upper_bound_refs:

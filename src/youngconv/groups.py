@@ -350,6 +350,9 @@ class AffineModel(GroupModel):
     step h_u (products of carrier points never need u snapping; only the b
     axis snaps, since the group action dilates it).  Each point carries the
     mass of the cell [u - h_u/2, u + h_u/2] x [b - h_b/2, b + h_b/2].
+    ``out_b_centers`` is the enlarged b window that covers every product of
+    two carrier points, where the certified convolution is evaluated; it is
+    built here, so a window too wide to hold fails at construction.
     """
 
     kind = "affine_grid"
@@ -373,6 +376,9 @@ class AffineModel(GroupModel):
             weight,
             delta,
         )
+        reach = math.exp(self.u_half_width) * self.b_half_width + self.b_half_width
+        kb_out = int(math.ceil(reach / self.h_b))
+        self.out_b_centers = (np.arange(2 * kb_out) - kb_out + 0.5) * self.h_b
 
     def b_index(self, b_values):
         """Cell lookup along b (step semantics); -1 marks window exit."""

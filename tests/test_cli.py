@@ -64,6 +64,21 @@ def test_exit_code_unknown_catalog_name():
 def test_exit_code_bad_model():
     assert _run(["estimate", "--group", "Wat:1", "--p1", "4/3", "--p2", "4/3"]).returncode == 4
     assert _run(["estimate", "--group", "Rline:h=0,L=1", "--p1", "4/3", "--p2", "4/3"]).returncode == 4
+    # models too large to hold are refused at construction: a 10^7-element
+    # table, an enlarged affine b window of 2e26 cells, and one whose reach
+    # overflows a float
+    for group in (
+        "Zmod:10000000",
+        "Affine:hu=0.5,U=60,hb=0.5,B=1",
+        "Affine:hu=0.5,U=700,hb=1e300,B=1e300",
+    ):
+        proc = _run(
+            ["estimate", "--group", group, "--p1", "4/3", "--p2", "3/2",
+             "--restarts", "1", "--iters", "0"]
+        )
+        assert proc.returncode == 4, group
+        assert "Traceback" not in proc.stderr, group
+        assert any(line.startswith("error:") for line in proc.stderr.splitlines()), group
 
 
 def test_estimate_json_deterministic(tmp_path):

@@ -11,7 +11,6 @@ from youngconv.convolution import (
     LinePWL,
     PlanePWL,
     TorusPWL,
-    _affine_out_b_grid,
     _convolve,
     _weighted_norm,
     ascent_direction_phi1,
@@ -297,7 +296,7 @@ def test_fftconvolve_bit_equal_to_scipy_signal():
     # row-wise along axis 1 at the affine in-loop and enlarged output widths
     model = make_affine_group(0.05, 1.5, 0.05, 3.0)
     nu, nb = model.n_u, model.n_b
-    for n_out in (nb, _affine_out_b_grid(model).size):
+    for n_out in (nb, model.out_b_centers.size):
         a = rng.random((nu, nb))
         k = rng.random((nu, nb + n_out - 1))
         ref = signal.fftconvolve(a, k, axes=1)

@@ -8,7 +8,12 @@ import pytest
 from youngconv import estimator
 from youngconv.cli import _build_model
 from youngconv.constants import beckner_Y_Rn
-from youngconv.convolution import young_ratio
+from youngconv.convolution import (
+    _delta_exponent,
+    ascent_direction_phi1,
+    ascent_direction_phi2,
+    young_ratio,
+)
 from youngconv.estimator import (
     EstimatorConfig,
     boundary_witness,
@@ -117,6 +122,25 @@ def test_affine_estimate_stays_below_nielsen():
     assert rep.lower_bound > 0.5  # the ascent actually moved
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_affine_one_row_gaussians_stay_below_nielsen():
+    # Y(Aff+) = Y(R)^2, but the grid sums its u rows as lattice points: two
+    # Gaussians on the row u = 0 alone, at half the optimal widths on R,
+    # give 0.877120 on criterion 6's grid
+    ex = young_p("4/3", "4/3")
+    _, s1, s2 = gaussian_ansatz(ex)
+    model = make_affine_group(0.05, 1.5, 0.05, 3.0)
+    row = model.u_centers == 0.0
+
+    def on_row(width):
+        values = np.zeros(model.shape)
+        values[row] = np.exp(-model.b_centers**2 / (2 * width * width))
+        return GroupFunction(model, values)
+
+    ratio = young_ratio(on_row(0.5 * s1), on_row(0.5 * s2), ex)
+    assert ratio <= beckner_Y_Rn("4/3", "4/3", 1) ** 2
+
+
 def test_boundary_witness_finite_exact():
     for t in [(2, 2), ("4/3", 4), (4, "4/3")]:
         ex = young_p(*t)
@@ -217,6 +241,120 @@ def test_normalize_rejects_non_finite_values(p, bad):
     values[3] = bad
     with pytest.raises(GroupModelError, match="finite"):
         estimator._normalize(model, values, Exponent(p))
+
+
+def _serial_restart(model, ex, cfg, restart_index, one_row=False):
+    """One restart alone, as the estimator ran restarts before they moved
+    in lockstep: the reference for the stacked loop.  With ``one_row`` the
+    iterates are one-row stacks, so every kernel runs the arithmetic that
+    the stack runs (the 1-d grids convolve one function with np.convolve
+    and a stack by FFT).  Returns the trace, iterations, convergence flag,
+    line-search tries and rejections."""
+    rng = np.random.default_rng([cfg.seed, restart_index])
+    de = float(_delta_exponent(ex))
+    p1f, p2f, pf = float(ex.p1), float(ex.p2), float(ex.p)
+    normalize = estimator._normalize
+
+    def start():
+        return model.random_start(rng)[None] if one_row else model.random_start(rng)
+
+    def loop_ratio(model, v1, v2, de, p):
+        ratio, psi = estimator._loop_ratio(model, v1, v2, de, p)
+        return float(np.squeeze(ratio)), psi
+
+    reinits = 0
+    while True:
+        v1, n1 = normalize(model, start(), ex.p1)
+        v2, n2 = normalize(model, start(), ex.p2)
+        ratio, psi = loop_ratio(model, v1, v2, de, ex.p)
+        if ratio > 0 or reinits >= 8:
+            break
+        reinits += 1
+    trace = [ratio]
+    converged = False
+    iterations = ls_tries = rejections = 0
+    window = 64
+    for iterations in range(1, cfg.max_iters + 1):
+        for side in (1, 2):
+            if not psi.values.any():
+                v1, _ = normalize(model, start(), ex.p1)
+                v2, _ = normalize(model, start(), ex.p2)
+                ratio, psi = loop_ratio(model, v1, v2, de, ex.p)
+                break
+            w = psi.dual_power(pf - 1.0)
+            if side == 1:
+                grad = ascent_direction_phi1(model, v2, w, de)
+                expo = 1.0 / (p1f - 1.0)
+                current, pexp = v1, ex.p1
+            else:
+                grad = ascent_direction_phi2(model, v1, w, de)
+                expo = 1.0 / (p2f - 1.0)
+                current, pexp = v2, ex.p2
+            grad = np.maximum(grad, 0.0)
+            if not grad.any():
+                continue
+            peak = grad.max()
+            proposal, norm = normalize(model, (grad / peak) ** expo, pexp)
+            if norm == 0.0:
+                continue
+            for t in (1.0, 0.5, 0.25, 0.125):
+                blend = (1.0 - t) * current + t * proposal
+                cand, norm = normalize(model, blend, pexp)
+                if norm == 0.0:
+                    continue
+                ls_tries += 1
+                cand_ratio, cand_psi = (
+                    loop_ratio(model, cand, v2, de, ex.p)
+                    if side == 1
+                    else loop_ratio(model, v1, cand, de, ex.p)
+                )
+                if cand_ratio >= ratio:
+                    if side == 1:
+                        v1 = cand
+                    else:
+                        v2 = cand
+                    ratio, psi = cand_ratio, cand_psi
+                    break
+                rejections += 1
+        trace.append(ratio)
+        anchor = trace[max(0, len(trace) - 1 - window)]
+        if ratio > 0 and (ratio - anchor) <= cfg.tol * max(anchor, 1e-300):
+            converged = True
+            break
+    return trace, iterations, converged, ls_tries, rejections
+
+
+ORACLE_SELECTORS = [
+    "Zmod:8", "AffF:5", "Torus:16", "Zwindow:10", "Rline:h=0.25,L=4",
+    "Plane:h=0.5,L=2", "Affine:hu=0.25,U=1,hb=0.25,B=2",
+]
+
+
+def test_lockstep_restarts_match_serial_oracle():
+    # every row of the stacked loop takes the steps its restart takes alone
+    ex = young_p("4/3", "3/2")
+    cfg = EstimatorConfig(restarts=4, max_iters=120, tol=1e-9, seed=42)
+    early = rejected = False
+    for selector in ORACLE_SELECTORS:
+        model = _build_model(selector)
+        report = estimate(model, ex, cfg)
+        for r in report.restart_results:
+            for one_row in (True, False):
+                trace, iterations, converged, ls_tries, rejections = _serial_restart(
+                    model, ex, cfg, r.index, one_row
+                )
+                where = f"{selector} restart {r.index} one_row={one_row}"
+                assert (r.iterations, r.converged, len(r.trace)) == (
+                    iterations, converged, len(trace)
+                ), where
+                np.testing.assert_allclose(r.trace, trace, rtol=1e-12, atol=0, err_msg=where)
+                # a ratio saturated at 1 ties its candidates to the last bit,
+                # and np.convolve and FFT rounding break those ties apart
+                if one_row or max(trace) < 1.0 - 1e-12:
+                    assert r.ls_tries == ls_tries, where
+                early |= converged and iterations < cfg.max_iters
+                rejected |= rejections > 0
+    assert early and rejected
 
 
 def test_estimates_match_golden_file():
