@@ -19,9 +19,9 @@ such a loop is transformed once and reused as a spectrum.
 Every kernel, adjoint and norm also takes a stack of functions: leading
 axes in front of the model's own (numpy ``...`` style), reduced only over
 the model's axes, so the estimator advances all its restarts in one call.
-A single function keeps the arithmetic of the unbatched expressions; the
-1-d grids convolve a stack by FFT along the last axis, as np.convolve has
-no batched form.
+A row of a stack gets the arithmetic the same function gets alone; the
+1-d grids convolve a stack row by row with np.convolve, which has no
+batched form.
 """
 
 from __future__ import annotations
@@ -78,13 +78,17 @@ def fftconvolve(in1, in2, n=None, axes=None):
     return full[tuple(index)]
 
 
-def _convolve_last(a, b):
-    """Full linear convolution along the last axis: np.convolve for two
-    single rows, one FFT over a whole stack otherwise."""
-    if a.ndim == 1 and b.ndim == 1:
-        return np.convolve(a, b)
-    full = a.shape[-1] + b.shape[-1] - 1
-    return fftconvolve(a, b, n=sp_fft.next_fast_len(full, True))[..., :full]
+def _convolve_last(a, b, mode="full"):
+    """Linear convolution along the last axis of two functions, or of two
+    stacks with the same leading axes, row by row with np.convolve in
+    ``mode``, so a row of a stack gets exactly the values it has alone."""
+    if a.ndim == 1:
+        return np.convolve(a, b, mode)
+    la, lb = a.shape[-1], b.shape[-1]
+    out = np.empty(a.shape[:-1] + (la + lb - 1 if mode == "full" else abs(la - lb) + 1,))
+    for row, x, y in zip(out.reshape(-1, out.shape[-1]), a.reshape(-1, la), b.reshape(-1, lb)):
+        row[:] = np.convolve(x, y, mode)
+    return out
 
 
 def _row_spectrum(values, full):
@@ -596,27 +600,28 @@ def _finite_ascent_phi2(model, phi1_vals, w, de):
 
 # On the abelian grids Delta = 1 and A* w, B* w are one correlation of the
 # dual with the other argument, so each grid has a single adjoint kernel.
+# The 1-d kernels need only outputs where the reversed argument lies wholly
+# inside the longer dual; np.convolve's 'valid' mode computes just those,
+# with the dot products its 'full' mode computes for them.
 
 
 def _integer_line_correlate(model, f, w, de):
-    n = model.size
-    full = _convolve_last(w.values, f[..., ::-1])
-    return full[..., n - 1 : 2 * n - 1]
+    return _convolve_last(w.values, f[..., ::-1], "valid")
 
 
 def _real_line_correlate(model, f, w, de):
     n = model.size
     windows = centered_integrals(w.values, model.h)
-    full = _convolve_last(windows, f[..., ::-1])
-    return full[..., n : 2 * n]
+    valid = _convolve_last(windows, f[..., ::-1], "valid")  # full from n - 1 on
+    return valid[..., 1 : n + 1]
 
 
 def _torus_correlate(model, f, w, de):
     # out[k] = sum_j f[j] a[(j + k) mod n] for the shifted window integrals a
     n = model.n
     a = np.roll(_centered_integrals_cyclic(w.values, model.h), -1, axis=-1)
-    full = _convolve_last(np.concatenate((a, a), axis=-1), f[..., ::-1])
-    return full[..., n - 1 : 2 * n - 1]
+    valid = _convolve_last(np.concatenate((a, a), axis=-1), f[..., ::-1], "valid")
+    return valid[..., :n]
 
 
 def _plane_correlate(model, f, w, de):

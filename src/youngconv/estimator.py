@@ -23,6 +23,7 @@ restart is certified on its own, through the unbatched ratio path.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -251,9 +252,12 @@ class _Lockstep:
         return out
 
 
-def _run_restarts(model, ex: YoungExponents, cfg):
-    """Every restart of one estimate, advanced in lockstep; results in
-    restart order."""
+_Ascent = namedtuple("_Ascent", "index iterations converged trace pair ls_tries")
+
+
+def _ascend(model, ex: YoungExponents, cfg):
+    """The ascent of every restart of one estimate, advanced in lockstep;
+    one _Ascent per restart, in restart order."""
     stack = _Lockstep(model, ex, cfg)
     traces = [[r] for r in stack.ratio.tolist()]
     ended = {}  # restart -> (iterations, converged, pair)
@@ -279,17 +283,22 @@ def _run_restarts(model, ex: YoungExponents, cfg):
             break
     for k, pair in zip(stack.index.tolist(), stack.retire(np.arange(stack.index.size))):
         ended[k] = (iterations, False, pair)
-    results = []
-    for k in range(cfg.restarts):
-        its, converged, (v1, v2) = ended[k]
-        certified = _normalized_convolve(GroupFunction(model, v1), GroupFunction(model, v2), ex)
-        results.append(
-            RestartResult(
-                k, certified.lp_norm(ex.p), its, converged, traces[k], (v1, v2),
-                certified.truncation_mass, int(stack.ls_tries[k]),
-            )
-        )
-    return results
+    return [
+        _Ascent(k, *ended[k][:2], traces[k], ended[k][2], int(stack.ls_tries[k]))
+        for k in range(cfg.restarts)
+    ]
+
+
+def _run_restart(model, ex: YoungExponents, ascent: _Ascent) -> RestartResult:
+    """The part of a restart that runs on its own once the lockstep ascent
+    has let it go: its last pair is certified alone, through the unbatched
+    ratio path, and becomes the restart's result."""
+    v1, v2 = ascent.pair
+    certified = _normalized_convolve(GroupFunction(model, v1), GroupFunction(model, v2), ex)
+    return RestartResult(
+        ascent.index, certified.lp_norm(ex.p), ascent.iterations, ascent.converged,
+        ascent.trace, ascent.pair, certified.truncation_mass, ascent.ls_tries,
+    )
 
 
 def estimate(
@@ -316,7 +325,7 @@ def estimate(
         raise ValueError("empty carrier")
     if cfg.restarts < 1:
         raise ValueError(f"the estimator needs restarts >= 1, got {cfg.restarts}")
-    results = _run_restarts(model, ex, cfg)
+    results = [_run_restart(model, ex, a) for a in _ascend(model, ex, cfg)]
     best = max(results, key=lambda r: (r.ratio, -r.index))
     refs = [("classical", 1.0)]
     if upper_bound_refs:
