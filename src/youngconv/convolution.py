@@ -30,7 +30,6 @@ import math
 from collections import namedtuple
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .exponents import Exponent, YoungExponents
 from .groups import (
@@ -50,13 +49,17 @@ _W01 = 0.5 * _GL_WEIGHTS
 
 
 def fftconvolve(in1, in2, n=None, axes=None):
-    """Full linear convolution of real arrays by FFT.
+    """Full linear convolution of real arrays by FFT (numpy.fft).
 
     Without ``n`` it convolves over ``axes`` (default: every axis) and is,
-    bit for bit, what ``scipy.signal.fftconvolve`` computes in 'full' mode
-    for real inputs longer than 1 along each of them: rfftn of both inputs
-    at ``next_fast_len`` of the full lengths, their product, irfftn and the
-    'full' slice.
+    over one or two axes, bit for bit what ``scipy.signal.fftconvolve``
+    computes in 'full' mode for real inputs longer than 1 along each of
+    them: rfftn of both inputs at ``_next_fast_len`` of the full lengths,
+    their product, irfftn and the 'full' slice.  numpy's irfftn scales
+    once per axis and scipy's once in all, so the inverse runs unscaled
+    and is multiplied by 1/prod(fshape) once, as scipy does.  Over three
+    or more axes numpy's rfftn takes the leading axes in reverse order,
+    so the last bits can differ from scipy's.
 
     With ``n`` it convolves along the last axis at FFT length n and returns
     all n samples, of which the first len1 + len2 - 1 are the full
@@ -64,18 +67,34 @@ def fftconvolve(in1, in2, n=None, axes=None):
     complex array), so an operand shared by many calls is transformed once.
     """
     if n is not None:
-        sp1 = in1 if np.iscomplexobj(in1) else sp_fft.rfft(in1, n)
-        sp2 = in2 if np.iscomplexobj(in2) else sp_fft.rfft(in2, n)
-        return sp_fft.irfft(sp1 * sp2, n)
+        sp1 = in1 if np.iscomplexobj(in1) else np.fft.rfft(in1, n)
+        sp2 = in2 if np.iscomplexobj(in2) else np.fft.rfft(in2, n)
+        return np.fft.irfft(sp1 * sp2, n)
     axes = tuple(range(in1.ndim)) if axes is None else axes
     shape = [in1.shape[a] + in2.shape[a] - 1 for a in axes]
-    fshape = [sp_fft.next_fast_len(k, True) for k in shape]
-    spec = sp_fft.rfftn(in1, fshape, axes=axes) * sp_fft.rfftn(in2, fshape, axes=axes)
-    full = sp_fft.irfftn(spec, fshape, axes=axes)
+    fshape = [_next_fast_len(k) for k in shape]
+    spec = np.fft.rfftn(in1, fshape, axes) * np.fft.rfftn(in2, fshape, axes)
+    full = np.fft.irfftn(spec, fshape, axes, norm="forward")
+    full *= 1.0 / math.prod(fshape)
     index = [slice(None)] * full.ndim
     for a, k in zip(axes, shape):
         index[a] = slice(k)
     return full[tuple(index)]
+
+
+def _next_fast_len(k):
+    """The least 2^a 3^b 5^c >= k: a fast real FFT length, as
+    ``scipy.fft.next_fast_len(k, True)`` picks it."""
+    best = 1 << (k - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two taking p35 to k or past it
+            best = min(best, p35 << (-(-k // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _convolve_last(a, b, mode="full"):
@@ -94,8 +113,8 @@ def _convolve_last(a, b, mode="full"):
 def _row_spectrum(values, full):
     """FFT length for a row-wise convolution of full length ``full``, and the
     rfft of every row of ``values`` at that length."""
-    nfft = sp_fft.next_fast_len(full, True)
-    return nfft, sp_fft.rfft(values, nfft)
+    nfft = _next_fast_len(full)
+    return nfft, np.fft.rfft(values, nfft)
 
 
 def _pf(p) -> float:
@@ -198,7 +217,7 @@ class LinePWL(ConvolutionResult):
         mags = np.abs(self.values)
         if math.isinf(pf):
             return _scalar_or_rows(mags.max(axis=-1))
-        return _pwl_norm(mags[..., :-1], mags[..., 1:], self.h, pf)
+        return _pwl_norm(self.model, mags[..., :-1], mags[..., 1:], self.h, pf)
 
 
 class TorusPWL(ConvolutionResult):
@@ -214,7 +233,7 @@ class TorusPWL(ConvolutionResult):
         mags = np.abs(self.values)
         if math.isinf(pf):
             return _scalar_or_rows(mags.max(axis=-1))
-        return _pwl_norm(mags, np.roll(mags, -1, axis=-1), self.h, pf)
+        return _pwl_norm(self.model, mags, np.roll(mags, -1, axis=-1), self.h, pf)
 
 
 class PlanePWL(ConvolutionResult):
@@ -228,38 +247,56 @@ class PlanePWL(ConvolutionResult):
 
     def lp_norm(self, p):
         pf = _pf(p)
-        # one function at a time: the Gauss-node temporaries below are 64
-        # times the knot grid, so they are not built for a whole stack
+        # one function at a time: the Gauss-node surface below is 64 times
+        # the knot grid, so it is not built for a whole stack
         stack = self.values.reshape((-1,) + self.values.shape[-2:])
         norms = np.array([self._knot_norm(v, pf) for v in stack])
         return _scalar_or_rows(norms.reshape(self.values.shape[:-2]))
 
     def _knot_norm(self, values, pf):
-        v = np.abs(values)[..., None, None]
+        v = np.abs(values)
         peak = float(v.max())
         if math.isinf(pf) or peak == 0.0:
             return peak
-        # the bilinear surface at the Gauss nodes (t along axis 0, s along
-        # axis 1); each term is formed as (v * ft) * fs and added left to
-        # right into one buffer, so no term needs a temporary of its own
-        t = _T01[:, None]
-        s = _T01[None, :]
-        surf = np.multiply(v[:-1, :-1] * (1 - t), 1 - s)
-        term = np.empty_like(surf)
-        surf += np.multiply(v[1:, :-1] * t, 1 - s, out=term)
-        surf += np.multiply(v[:-1, 1:] * (1 - t), s, out=term)
-        surf += np.multiply(v[1:, 1:] * t, s, out=term)
+        # the bilinear surface at the Gauss nodes, surf[i, j, t, s], built
+        # one node row t at a time on (s, i, j) blocks so every multiply
+        # runs a long inner loop; each term is formed as (v * ft) * fs and
+        # added left to right, the order the einsum's reference fixes
+        m, n, q = v.shape[0] - 1, v.shape[1] - 1, _T01.size
+        surf = np.empty((m, n, q, q))
+        block, term = np.empty((q, m, n)), np.empty((q, m, n))
+        v00, v10, v01, v11 = v[:-1, :-1], v[1:, :-1], v[:-1, 1:], v[1:, 1:]
+        s = _T01[:, None, None]
+        for k, t in enumerate(_T01):
+            np.multiply(v00 * (1 - t), 1 - s, out=block)
+            block += np.multiply(v10 * t, 1 - s, out=term)
+            block += np.multiply(v01 * (1 - t), s, out=term)
+            block += np.multiply(v11 * t, s, out=term)
+            surf[:, :, k, :] = block.transpose(1, 2, 0)
         surf /= peak
         surf **= pf
         cell = np.einsum("ijts,t,s->", surf, _W01, _W01)
         return peak * float(cell * self.h * self.h) ** (1.0 / pf)
 
 
-def _pwl_norm(a, b, h, pf):
+def _node_buffer(model, shape):
+    """An uninitialized float array of ``shape`` for a norm's values at the
+    Gauss nodes, carved from one buffer kept on the model and grown as
+    needed, so an ascent's thousands of norms do not each allocate, and
+    fault in, a block of this size.  Two threads must not take norms on
+    one model at once."""
+    size = math.prod(shape)
+    buf = getattr(model, "_node_values", None)
+    if buf is None or buf.size < size:
+        buf = model._node_values = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def _pwl_norm(model, a, b, h, pf):
     """Lp norm of linear segments a -> b of common width h (8-node Gauss)
     along the last axis; a and b are the magnitudes at the segment ends."""
     peak = np.maximum(a.max(axis=-1, initial=0.0), b.max(axis=-1, initial=0.0))
-    seg = np.multiply.outer(b - a, _T01)
+    seg = np.multiply.outer(b - a, _T01, out=_node_buffer(model, a.shape + _T01.shape))
     seg += a[..., None]
     seg /= _divisor(peak, 2)
     seg **= pf
@@ -682,7 +719,7 @@ def _affine_ascent_phi2(model: AffineModel, v1, w: AffineConvolution, de):
     v1w = v1 * model.weight
     full = n_w + nb - 1
     nfft, spec_w = _row_spectrum(w.values, full)
-    spec1 = sp_fft.rfft(v1w[..., ::-1], nfft)
+    spec1 = np.fft.rfft(v1w[..., ::-1], nfft)
     # gather index of e^{u_i} b_c inside the correlation, one row per i
     targets = np.exp(u)[:, None] * model.b_centers[None, :]
     rel = (targets + (model.b_centers[0] - w.b_centers[0])) / h_b + 0.5

@@ -47,10 +47,12 @@ class GroupModel:
         self.name = name
         self.weight = np.asarray(weight, dtype=float)
         self.delta = np.asarray(delta, dtype=float)
-        if np.any(self.weight <= 0):
-            raise GroupModelError(f"{name}: Haar weights must be positive")
-        if np.any(self.delta <= 0):
-            raise GroupModelError(f"{name}: modular function must be positive")
+        # an overflowed cell area or modular function is an infinite entry,
+        # which would make every norm on the model non-finite
+        if not np.all(np.isfinite(self.weight) & (self.weight > 0)):
+            raise GroupModelError(f"{name}: Haar weights must be finite and positive")
+        if not np.all(np.isfinite(self.delta) & (self.delta > 0)):
+            raise GroupModelError(f"{name}: modular function must be finite and positive")
 
     @property
     def shape(self):

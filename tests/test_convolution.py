@@ -12,6 +12,7 @@ from youngconv.convolution import (
     PlanePWL,
     TorusPWL,
     _convolve,
+    _next_fast_len,
     _weighted_norm,
     ascent_direction_phi1,
     ascent_direction_phi2,
@@ -318,6 +319,48 @@ def test_fftconvolve_bit_equal_to_scipy_signal():
     x, y = rng.random((16, 16)), rng.random((16, 16))
     assert np.array_equal(fftconvolve(x, y), signal.fftconvolve(x, y))
     assert np.array_equal(fftconvolve(x, y[::-1, ::-1]), signal.fftconvolve(x, y[::-1, ::-1]))
+
+
+def test_next_fast_len_matches_scipy():
+    assert [_next_fast_len(k) for k in range(1, 2**16 + 1)] == [
+        sp_fft.next_fast_len(k, True) for k in range(1, 2**16 + 1)
+    ]
+
+
+@pytest.mark.parametrize("shape1, shape2", [
+    ((9, 7), (9, 7)),  # odd full lengths
+    ((10, 16), (7, 12)),  # even full lengths
+    ((3, 11, 8), (3, 11, 8)),  # a stack, convolved over its last two axes
+])
+def test_fftconvolve_2d_bit_equal_to_scipy_fft(shape1, shape2):
+    rng = np.random.default_rng(5)
+    a, b = rng.random(shape1), rng.random(shape2)
+    axes = (-2, -1)
+    full = [shape1[i] + shape2[i] - 1 for i in axes]
+    fshape = [sp_fft.next_fast_len(k, True) for k in full]
+    spec = sp_fft.rfftn(a, fshape, axes=axes) * sp_fft.rfftn(b, fshape, axes=axes)
+    ref = sp_fft.irfftn(spec, fshape, axes=axes)[..., : full[0], : full[1]]
+    assert np.array_equal(fftconvolve(a, b, axes=axes), ref)
+
+
+def test_norms_after_a_larger_norm_are_unchanged():
+    # the line and torus norms reuse one Gauss-node buffer per model and the
+    # plane norm writes into fresh uninitialized memory: either may hold an
+    # earlier norm's values, so every value must be written before it is read
+    rng = np.random.default_rng(8)
+    line, torus, plane = make_real_line(0.25, 4.0), make_torus(16), make_plane(0.5, 2.0)
+    for result, big, small in (
+        (lambda v: LinePWL(line, -8.0, line.h, v), (5, 40), (40,)),
+        (lambda v: TorusPWL(torus, v), (5, 40), (40,)),
+        (lambda v: PlanePWL(plane, -4.0, plane.h, v), (21, 21), (9, 9)),
+    ):
+        for p in (4 / 3, 3.0):
+            v = rng.standard_normal(small)
+            first = result(v).lp_norm(p)
+            for shape in (big, small):
+                result(rng.random(shape) * 1e3).lp_norm(p)
+                assert result(v).lp_norm(p) == first
+            assert result(np.stack([v, v])).lp_norm(p).tolist() == [first, first]
 
 
 # Bit-identity oracles: the norm expressions as first written, before their
