@@ -1,7 +1,8 @@
 """Optimal constants of Young's convolution inequality on discretized
 locally compact groups: exact closed forms where they exist, certified
-numerical lower bounds elsewhere, and the supporting identities as
-executable checks."""
+numerical lower bounds on finite groups and the abelian grids, a grid
+diagnostic on the affine grid, and the supporting identities as executable
+checks."""
 
 from .exponents import Exponent, ExponentError, YoungExponents, holder_conjugate, young_p
 from .constants import (

@@ -14,7 +14,11 @@ On the affine grid the convolution is a direct double sum over cells; the
 group is non-abelian so there is no FFT shortcut, but for each pair of
 log-scale rows the b-axis coupling is a Toeplitz matrix, which the code
 applies as a batched 1-d convolution.  An operand shared by every row of
-such a loop is transformed once and reused as a spectrum.
+such a loop is transformed once and reused as a spectrum.  The forward
+convolution and A* add the products of all phi2 rows into one spectrum,
+at each row's shift, and take one inverse FFT per call; they agree with a
+sum of per-row inverses to about 1e-15 relative.  B* samples each inverse
+at dilated positions, so it keeps one inverse per output row.
 
 Every kernel, adjoint and norm also takes a stack of functions: leading
 axes in front of the model's own (numpy ``...`` style), reduced only over
@@ -48,7 +52,7 @@ _T01 = 0.5 * (_GL_NODES + 1.0)
 _W01 = 0.5 * _GL_WEIGHTS
 
 
-def fftconvolve(in1, in2, n=None, axes=None):
+def fftconvolve(in1, in2, n=None, axes=None, out=None):
     """Full linear convolution of real arrays by FFT (numpy.fft).
 
     Without ``n`` it convolves over ``axes`` (default: every axis) and is,
@@ -64,12 +68,13 @@ def fftconvolve(in1, in2, n=None, axes=None):
     With ``n`` it convolves along the last axis at FFT length n and returns
     all n samples, of which the first len1 + len2 - 1 are the full
     convolution.  Either input may then be its ``rfft(x, n)`` spectrum (a
-    complex array), so an operand shared by many calls is transformed once.
+    complex array), so an operand shared by many calls is transformed once,
+    and ``out`` may take the n samples in place of a new array.
     """
     if n is not None:
         sp1 = in1 if np.iscomplexobj(in1) else np.fft.rfft(in1, n)
         sp2 = in2 if np.iscomplexobj(in2) else np.fft.rfft(in2, n)
-        return np.fft.irfft(sp1 * sp2, n)
+        return np.fft.irfft(sp1 * sp2, n, out=out)
     axes = tuple(range(in1.ndim)) if axes is None else axes
     shape = [in1.shape[a] + in2.shape[a] - 1 for a in axes]
     fshape = [_next_fast_len(k) for k in shape]
@@ -386,15 +391,51 @@ def _finite_convolve(model, v1, v2, de, enlarged=True):
 
 def _affine_kernel_cols(model: AffineModel, out_b):
     """Cell column of e^{-u_i} x_d for every carrier row i and every b offset
-    x_d from the carrier to the output grid ``out_b``, clipped to the window,
-    with the mask of columns that fall inside it."""
+    x_d from the carrier to the output grid ``out_b``; a column outside the
+    window is n_b, the zero that _summed_row_convolutions puts past the end
+    of every phi2 row."""
     nb = model.n_b
     d = np.arange(nb + out_b.size - 1) - (nb - 1)
     x_d = (out_b[0] - model.b_centers[0]) + d * model.h_b
     args = np.exp(-model.u_centers)[:, None] * x_d[None, :]  # e^{-u_i} is Delta at row i
     col = np.floor((args + model.b_half_width) / model.h_b).astype(int)
-    valid = (col >= 0) & (col < nb)
-    return np.clip(col, 0, nb - 1), valid
+    return np.where((col >= 0) & (col < nb), col, nb)
+
+
+def _summed_row_convolutions(spec, v2, cols, n_rows, nfft, terms):
+    """One inverse FFT of a sum of row-wise convolutions with phi2 rows.
+
+    ``terms`` yields (r, rows, src, dst, dfac): phi2 row r, gathered at the
+    columns ``cols[rows]`` and scaled by the float dfac, gives one kernel
+    row per carrier row in ``rows``; the rfft of each kernel row at length
+    nfft times the rows ``src`` of the spectrum ``spec`` is added into the
+    rows ``dst`` of the sum.  A phi2 row that is all zero is skipped.  The
+    inverse FFT is linear, so the products are summed in the frequency
+    domain and the call ends in one irfft of its n_rows rows instead of one
+    per phi2 row.  Kernels are built inside a zeroed nfft-wide buffer, so
+    rfft pads nothing.  A row of a stack is summed on its own, so it gets
+    the values it has alone.
+    """
+    nfreq = nfft // 2 + 1
+    batch = np.broadcast_shapes(spec.shape[:-2], v2.shape[:-2])
+    padded = np.zeros(batch + v2.shape[-2:-1] + (v2.shape[-1] + 1,))
+    padded[..., :-1] = v2
+    kern = np.zeros(batch + (cols.shape[0], nfft))
+    prod = np.empty(batch + (cols.shape[0], nfreq), dtype=complex)
+    acc = np.zeros(batch + (n_rows, nfreq), dtype=complex)
+    for r, rows, src, dst, dfac in terms:
+        if not np.any(v2[..., r, :]):
+            continue
+        k = rows.stop - rows.start
+        row_kern = kern[..., :k, : cols.shape[1]]
+        np.take(padded[..., r, :], cols[rows], axis=-1, out=row_kern, mode="clip")
+        if dfac != 1.0:
+            row_kern *= dfac
+        part = np.fft.rfft(kern[..., :k, :], out=prod[..., :k, :])
+        part *= spec[..., src, :]
+        acc[..., dst, :] += part
+    del padded, kern, prod  # the inverse's output takes their place
+    return np.fft.irfft(acc, nfft)
 
 
 def _affine_convolve(model: AffineModel, v1, v2, de, enlarged):
@@ -411,20 +452,20 @@ def _affine_convolve(model: AffineModel, v1, v2, de, enlarged):
         out_b = model.b_centers
         row_shift = ku  # row m = i + r - ku
     n_rows, n_out = out_u.size, out_b.size
-    col, valid = _affine_kernel_cols(model, out_b)
-    nfft, spec1 = _row_spectrum(v1 * model.weight, nb + col.shape[1] - 1)
+    cols = _affine_kernel_cols(model, out_b)
+    nfft, spec1 = _row_spectrum(v1 * model.weight, nb + cols.shape[1] - 1)
     batch = v1.shape[:-2]
-    psi = np.zeros(batch + (n_rows, n_out))
-    for r in range(nu):
-        row2 = v2[..., r, :]
-        if not np.any(row2):
-            continue
-        kern = np.where(valid, np.take(row2, col, axis=-1), 0.0)
-        contrib = fftconvolve(spec1, kern, n=nfft)[..., nb - 1 : nb - 1 + n_out]
-        dfac = math.exp(-de * u[r]) if de != 0.0 else 1.0
-        lo = max(0, row_shift - r)
-        hi = min(nu, n_rows + row_shift - r)
-        psi[..., r + lo - row_shift : r + hi - row_shift, :] += dfac * contrib[..., lo:hi, :]
+
+    def terms():
+        for r in range(nu):
+            lo = max(0, row_shift - r)
+            hi = min(nu, n_rows + row_shift - r)
+            dfac = math.exp(-de * u[r]) if de != 0.0 else 1.0
+            dst = slice(r + lo - row_shift, r + hi - row_shift)
+            yield r, slice(lo, hi), slice(lo, hi), dst, dfac
+
+    full = _summed_row_convolutions(spec1, v2, cols, n_rows, nfft, terms())
+    psi = full[..., nb - 1 : nb - 1 + n_out]
     out_mass = (
         np.exp(-out_u)[:, None]
         * (2.0 * math.sinh(h_u / 2.0) * h_b)
@@ -461,10 +502,14 @@ def young_ratio(
 ) -> float:
     """||phi1 * (phi2 Delta^(1/p1'))||_p / (||phi1||_p1 ||phi2||_p2).
 
-    Scale invariant in each argument; every returned value is a lower
-    bound for the optimal constant of the represented group, up to the
-    truncation diagnostics of the model.  Inputs are normalized before
-    convolving so large values cannot overflow.
+    Scale invariant in each argument.  On finite groups and the abelian
+    grids, where the model's convolution is the group's own convolution of
+    the step functions, every returned value is a lower bound for the
+    optimal constant of the represented group, up to the truncation
+    diagnostics of the model.  The affine grid sums its u rows as lattice
+    points and snaps the dilated b axis, so an affine value is a grid
+    diagnostic and can exceed the group's constant.  Inputs are normalized
+    before convolving so large values cannot overflow.
     """
     return _normalized_convolve(phi1, phi2, ex, enlarged).lp_norm(ex.p)
 
@@ -681,25 +726,22 @@ def _affine_ascent_phi1(model: AffineModel, v2, w: AffineConvolution, de):
     ku = (nu - 1) // 2
     base = int(round(w.u_points[0] / model.h_u))
     n_out = w.b_centers.size
-    col, valid = _affine_kernel_cols(model, w.b_centers)
-    nfft, spec_w = _row_spectrum(w.values * w.weight, n_out + col.shape[1] - 1)
-    out = np.zeros(v2.shape)
+    cols = _affine_kernel_cols(model, w.b_centers)
+    nfft, spec_w = _row_spectrum(w.values * w.weight, n_out + cols.shape[1] - 1)
     n_rows = w.values.shape[-2]
-    for r in range(nu):
-        row2 = v2[..., r, :]
-        if not np.any(row2):
-            continue
-        shift = r - base - 2 * ku  # dual row m = i + shift
-        lo = max(0, -shift)
-        hi = min(nu, n_rows - shift)
-        if lo >= hi:
-            continue
-        kern = np.where(valid[lo:hi], np.take(row2, col[lo:hi], axis=-1), 0.0)
-        corr = fftconvolve(spec_w[..., lo + shift : hi + shift, :], kern[..., ::-1], n=nfft)
-        sel = corr[..., n_out - 1 : n_out - 1 + nb]
-        dfac = math.exp(-de * u[r]) if de != 0.0 else 1.0
-        out[..., lo:hi, :] += dfac * sel
-    return out
+
+    def terms():
+        for r in range(nu):
+            shift = r - base - 2 * ku  # dual row m = i + shift
+            lo = max(0, -shift)
+            hi = min(nu, n_rows - shift)
+            if lo >= hi:
+                continue
+            dfac = math.exp(-de * u[r]) if de != 0.0 else 1.0
+            yield r, slice(lo, hi), slice(lo + shift, hi + shift), slice(lo, hi), dfac
+
+    full = _summed_row_convolutions(spec_w, v2, cols[:, ::-1], nu, nfft, terms())
+    return full[..., n_out - 1 : n_out - 1 + nb]
 
 
 def _affine_ascent_phi2(model: AffineModel, v1, w: AffineConvolution, de):
@@ -708,6 +750,9 @@ def _affine_ascent_phi2(model: AffineModel, v1, w: AffineConvolution, de):
     For output row c the dual row is m = i + c - 2 ku - base for every
     integration row i; along b the pairing is a correlation of the dual
     row with the phi1 row, sampled at the dilated positions e^{u_i} b_c.
+    The samples come after each inverse FFT, so the rows cannot be summed
+    in the frequency domain as in A*; the inverse runs into one buffer
+    kept for the call instead.
     """
     h_b = model.h_b
     nu, nb = model.n_u, model.n_b
@@ -720,10 +765,17 @@ def _affine_ascent_phi2(model: AffineModel, v1, w: AffineConvolution, de):
     full = n_w + nb - 1
     nfft, spec_w = _row_spectrum(w.values, full)
     spec1 = np.fft.rfft(v1w[..., ::-1], nfft)
-    # gather index of e^{u_i} b_c inside the correlation, one row per i
+    # flat index of e^{u_i} b_c inside the correlation buffer, row i of
+    # which holds the inverse for carrier row i; samples outside the
+    # correlation read the buffer's last column, which stays 0
     targets = np.exp(u)[:, None] * model.b_centers[None, :]
     rel = (targets + (model.b_centers[0] - w.b_centers[0])) / h_b + 0.5
     gather = np.floor(rel).astype(int) + (nb - 1)
+    gather = np.where((gather >= 0) & (gather < full), gather, nfft)
+    gather += (nfft + 1) * np.arange(nu)[:, None]
+    batch = np.broadcast_shapes(w.values.shape[:-2], v1.shape[:-2])
+    corr = np.zeros(batch + (nu, nfft + 1))
+    flat = corr.reshape(batch + (-1,))
     out = np.zeros(v1.shape)
     for c in range(nu):
         shift = c - 2 * ku - base  # dual row m = i + shift
@@ -733,12 +785,11 @@ def _affine_ascent_phi2(model: AffineModel, v1, w: AffineConvolution, de):
             continue
         if not np.any(v1w[..., lo:hi, :]):
             continue
-        corr = fftconvolve(spec_w[..., lo + shift : hi + shift, :], spec1[..., lo:hi, :], n=nfft)
-        idx = gather[lo:hi]
-        ok = (idx >= 0) & (idx < full)
-        safe = np.broadcast_to(np.clip(idx, 0, full - 1), corr.shape[:-1] + (nb,))
-        vals = np.take_along_axis(corr, safe, axis=-1)
-        acc = np.where(ok, vals, 0.0).sum(axis=-2)
+        fftconvolve(
+            spec_w[..., lo + shift : hi + shift, :], spec1[..., lo:hi, :], n=nfft,
+            out=corr[..., lo:hi, :nfft],
+        )
+        acc = np.take(flat, gather[lo:hi], axis=-1).sum(axis=-2)
         dfac = math.exp(-de * u[c]) if de != 0.0 else 1.0
         out[..., c, :] = dfac * acc
     return out

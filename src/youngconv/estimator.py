@@ -5,9 +5,12 @@ first-order update phi1 <- normalize((A* w)^(1/(p1-1))) with w the dual
 |psi|^(p-1) of the current convolution psi, and symmetrically for phi2.
 Every proposed step passes a line search that accepts only ratio
 non-decrease, so each restart's trace is nondecreasing and the final value
-is a genuinely evaluated ratio, i.e. a certified lower bound (up to the
-model's truncation diagnostics).  No claim is made that the global
-supremum is reached.
+is a genuinely evaluated ratio of concrete functions.  On finite groups
+and the abelian grids that makes it a certified lower bound for the
+group's constant (up to the model's truncation diagnostics); on the affine
+grid, which is not yet a faithful model of the ax+b group, it is a grid
+diagnostic and can exceed the group's constant.  No claim is made that the
+global supremum is reached.
 
 All restarts of one estimate advance in lockstep, in one process: their
 iterates are stacked along a leading axis, every half-step computes the
@@ -73,7 +76,8 @@ class RestartResult:
 
 @dataclass
 class EstimateReport:
-    """Estimator output: a certified lower bound with its diagnostics."""
+    """Estimator output: the best evaluated ratio (a certified lower bound
+    except on the affine grid) with its diagnostics."""
 
     group: str
     exponents: tuple

@@ -450,3 +450,146 @@ def test_norms_bit_equal_to_reference_expressions(pf):
     for v in _oracle_draws(rng, (n, n)):
         result = PlanePWL(plane, -4.0, plane.h, v)
         assert result.lp_norm(pf) == _ref_plane_norm(v, plane.h, pf)
+
+
+# Row-loop oracles: the affine kernels as first written, with one inverse
+# FFT per phi2 row (forward, A*) or per output row (B*).  The kernels now
+# sum the forward and A* rows in the frequency domain before one inverse,
+# which moves the last bits; B* must agree exactly.
+
+
+def _ref_kernel_cols(model, out_b):
+    nb = model.n_b
+    d = np.arange(nb + out_b.size - 1) - (nb - 1)
+    x_d = (out_b[0] - model.b_centers[0]) + d * model.h_b
+    args = np.exp(-model.u_centers)[:, None] * x_d[None, :]
+    col = np.floor((args + model.b_half_width) / model.h_b).astype(int)
+    valid = (col >= 0) & (col < nb)
+    return np.clip(col, 0, nb - 1), valid
+
+
+def _ref_row_convolve(spec, kern, nfft):
+    return np.fft.irfft(spec * np.fft.rfft(kern, nfft), nfft)
+
+
+def _ref_affine_convolve(model, v1, v2, de, enlarged):
+    nu, nb = model.n_u, model.n_b
+    u = model.u_centers
+    ku = (nu - 1) // 2
+    if enlarged:
+        n_rows, out_b, row_shift = 2 * nu - 1, model.out_b_centers, 0
+    else:
+        n_rows, out_b, row_shift = nu, model.b_centers, ku
+    n_out = out_b.size
+    col, valid = _ref_kernel_cols(model, out_b)
+    nfft = _next_fast_len(nb + col.shape[1] - 1)
+    spec1 = np.fft.rfft(v1 * model.weight, nfft)
+    psi = np.zeros(v1.shape[:-2] + (n_rows, n_out))
+    for r in range(nu):
+        row2 = v2[..., r, :]
+        if not np.any(row2):
+            continue
+        kern = np.where(valid, np.take(row2, col, axis=-1), 0.0)
+        contrib = _ref_row_convolve(spec1, kern, nfft)[..., nb - 1 : nb - 1 + n_out]
+        dfac = math.exp(-de * u[r]) if de != 0.0 else 1.0
+        lo = max(0, row_shift - r)
+        hi = min(nu, n_rows + row_shift - r)
+        psi[..., r + lo - row_shift : r + hi - row_shift, :] += dfac * contrib[..., lo:hi, :]
+    return psi
+
+
+def _ref_affine_ascent_phi1(model, v2, w, de):
+    nu, nb = model.n_u, model.n_b
+    u = model.u_centers
+    ku = (nu - 1) // 2
+    base = int(round(w.u_points[0] / model.h_u))
+    n_out = w.b_centers.size
+    col, valid = _ref_kernel_cols(model, w.b_centers)
+    nfft = _next_fast_len(n_out + col.shape[1] - 1)
+    spec_w = np.fft.rfft(w.values * w.weight, nfft)
+    out = np.zeros(v2.shape)
+    n_rows = w.values.shape[-2]
+    for r in range(nu):
+        row2 = v2[..., r, :]
+        if not np.any(row2):
+            continue
+        shift = r - base - 2 * ku
+        lo = max(0, -shift)
+        hi = min(nu, n_rows - shift)
+        if lo >= hi:
+            continue
+        kern = np.where(valid[lo:hi], np.take(row2, col[lo:hi], axis=-1), 0.0)
+        corr = _ref_row_convolve(spec_w[..., lo + shift : hi + shift, :], kern[..., ::-1], nfft)
+        dfac = math.exp(-de * u[r]) if de != 0.0 else 1.0
+        out[..., lo:hi, :] += dfac * corr[..., n_out - 1 : n_out - 1 + nb]
+    return out
+
+
+def _ref_affine_ascent_phi2(model, v1, w, de):
+    nu, nb = model.n_u, model.n_b
+    u = model.u_centers
+    ku = (nu - 1) // 2
+    base = int(round(w.u_points[0] / model.h_u))
+    n_w = w.b_centers.size
+    n_rows = w.values.shape[-2]
+    v1w = v1 * model.weight
+    full = n_w + nb - 1
+    nfft = _next_fast_len(full)
+    spec_w = np.fft.rfft(w.values, nfft)
+    spec1 = np.fft.rfft(v1w[..., ::-1], nfft)
+    targets = np.exp(u)[:, None] * model.b_centers[None, :]
+    rel = (targets + (model.b_centers[0] - w.b_centers[0])) / model.h_b + 0.5
+    gather = np.floor(rel).astype(int) + (nb - 1)
+    out = np.zeros(v1.shape)
+    for c in range(nu):
+        shift = c - 2 * ku - base
+        lo = max(0, -shift)
+        hi = min(nu, n_rows - shift)
+        if lo >= hi or not np.any(v1w[..., lo:hi, :]):
+            continue
+        corr = np.fft.irfft(spec_w[..., lo + shift : hi + shift, :] * spec1[..., lo:hi, :], nfft)
+        idx = gather[lo:hi]
+        ok = (idx >= 0) & (idx < full)
+        safe = np.broadcast_to(np.clip(idx, 0, full - 1), corr.shape[:-1] + (nb,))
+        vals = np.take_along_axis(corr, safe, axis=-1)
+        dfac = math.exp(-de * u[c]) if de != 0.0 else 1.0
+        out[..., c, :] = dfac * np.where(ok, vals, 0.0).sum(axis=-2)
+    return out
+
+
+def _assert_close_to_reference(got, ref):
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("model", [
+    make_affine_group(0.05, 1.5, 0.05, 3.0),
+    make_affine_group(0.25, 1.0, 0.25, 2.0),
+    make_affine_group(0.5, 0.5, 1.0, 1.0),  # 3 x 2 cells
+], ids=lambda m: m.name)
+def test_affine_row_sums_match_per_row_reference(model):
+    rng = np.random.default_rng(14)
+    for batch in [(), (3,)]:
+        v1, v2 = rng.random(batch + model.shape), rng.random(batch + model.shape)
+        v2[..., 0, :] = 0.0  # phi2 rows that are all zero are skipped
+        if batch:
+            v2[1, -1, :] = 0.0  # zero in one function of the stack only
+        for de in (0.0, 0.4):
+            for enlarged in (True, False):
+                psi = _convolve(model, v1, v2, de, enlarged)
+                _assert_close_to_reference(
+                    psi.values, _ref_affine_convolve(model, v1, v2, de, enlarged)
+                )
+                w = _random_dual(psi, rng)
+                a_star = ascent_direction_phi1(model, v2, w, de)
+                _assert_close_to_reference(a_star, _ref_affine_ascent_phi1(model, v2, w, de))
+                b_star = ascent_direction_phi2(model, v1, w, de)
+                assert np.array_equal(b_star, _ref_affine_ascent_phi2(model, v1, w, de))
+                # each function of a stack gets the values it has alone
+                for s in range(batch[0] if batch else 0):
+                    w_s = psi.dual_power(1.0)
+                    w_s.values = w.values[s]
+                    assert np.array_equal(
+                        _convolve(model, v1[s], v2[s], de, enlarged).values, psi.values[s]
+                    )
+                    assert np.array_equal(ascent_direction_phi1(model, v2[s], w_s, de), a_star[s])
+                    assert np.array_equal(ascent_direction_phi2(model, v1[s], w_s, de), b_star[s])
