@@ -9,6 +9,11 @@ evaluated exactly as a piecewise-(bi)linear function, and Lp norms of those
 results use fixed 8-node Gauss-Legendre quadrature per knot interval.
 Cell-sampled convolution would make point masses saturate the ratio at 1
 and destroy convergence of the lower bounds, so it is never used there.
+The Gauss sums run with the nodes outermost: the values at one node (one
+node pair on the plane) are formed, raised to p and summed over every cell
+as one long row, and the node sums are weighted last.  They agree with the
+per-cell order to about 1e-15 relative, and a row of a stack gets bit for
+bit the norm of the same function alone.
 
 On the affine grid the convolution is a direct double sum over cells; the
 group is non-abelian so there is no FFT shortcut, but for each pair of
@@ -50,6 +55,7 @@ from .groups import (
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _T01 = 0.5 * (_GL_NODES + 1.0)
 _W01 = 0.5 * _GL_WEIGHTS
+_W01_2D = np.outer(_W01, _W01).reshape(-1)  # weight of node pair (t, s) at 8t + s
 
 
 def fftconvolve(in1, in2, n=None, axes=None, out=None):
@@ -133,10 +139,14 @@ def _scalar_or_rows(x):
 
 def _divisor(peak, axes):
     """Peaks as divisors of values with ``axes`` trailing axes; a zero peak
-    divides by 1 (its values are all 0).  A float for one function."""
+    divides by 1 (its values are all 0), and so does an infinite or NaN
+    one, whose norm is not finite anyway (inf / inf would warn).  A float
+    for one function."""
     if np.ndim(peak) == 0:
-        return float(peak) or 1.0
-    return np.where(peak == 0.0, 1.0, peak).reshape(peak.shape + (1,) * axes)
+        pk = float(peak)
+        return pk if 0.0 < pk < math.inf else 1.0
+    div = np.where((peak > 0.0) & (peak < np.inf), peak, 1.0)
+    return div.reshape(peak.shape + (1,) * axes)
 
 
 def _scaled_root(peak, total, pf):
@@ -218,11 +228,7 @@ class LinePWL(ConvolutionResult):
         self.values = values
 
     def lp_norm(self, p):
-        pf = _pf(p)
-        mags = np.abs(self.values)
-        if math.isinf(pf):
-            return _scalar_or_rows(mags.max(axis=-1))
-        return _pwl_norm(self.model, mags[..., :-1], mags[..., 1:], self.h, pf)
+        return _pwl_norm(self.model, self.values, self.h, _pf(p), cyclic=False)
 
 
 class TorusPWL(ConvolutionResult):
@@ -234,11 +240,7 @@ class TorusPWL(ConvolutionResult):
         self.values = values
 
     def lp_norm(self, p):
-        pf = _pf(p)
-        mags = np.abs(self.values)
-        if math.isinf(pf):
-            return _scalar_or_rows(mags.max(axis=-1))
-        return _pwl_norm(self.model, mags, np.roll(mags, -1, axis=-1), self.h, pf)
+        return _pwl_norm(self.model, self.values, self.h, _pf(p), cyclic=True)
 
 
 class PlanePWL(ConvolutionResult):
@@ -263,24 +265,24 @@ class PlanePWL(ConvolutionResult):
         peak = float(v.max())
         if math.isinf(pf) or peak == 0.0:
             return peak
-        # the bilinear surface at the Gauss nodes, surf[i, j, t, s], built
-        # one node row t at a time on (s, i, j) blocks so every multiply
-        # runs a long inner loop; each term is formed as (v * ft) * fs and
-        # added left to right, the order the einsum's reference fixes
+        v /= peak
+        # the bilinear surface at the Gauss nodes (t, s), one node row t at
+        # a time: its edges lo (s = 0) and hi (s = 1) are (m, n) arrays, and
+        # the row's (8, m, n) block is lo + s (hi - lo), raised to p and
+        # summed over the cells in place
         m, n, q = v.shape[0] - 1, v.shape[1] - 1, _T01.size
-        surf = np.empty((m, n, q, q))
-        block, term = np.empty((q, m, n)), np.empty((q, m, n))
+        row = _node_buffer(self.model, (q, m, n))
+        sums = np.empty((q, q))
         v00, v10, v01, v11 = v[:-1, :-1], v[1:, :-1], v[:-1, 1:], v[1:, 1:]
-        s = _T01[:, None, None]
         for k, t in enumerate(_T01):
-            np.multiply(v00 * (1 - t), 1 - s, out=block)
-            block += np.multiply(v10 * t, 1 - s, out=term)
-            block += np.multiply(v01 * (1 - t), s, out=term)
-            block += np.multiply(v11 * t, s, out=term)
-            surf[:, :, k, :] = block.transpose(1, 2, 0)
-        surf /= peak
-        surf **= pf
-        cell = np.einsum("ijts,t,s->", surf, _W01, _W01)
+            lo = v00 * (1 - t) + v10 * t
+            hi = v01 * (1 - t) + v11 * t
+            hi -= lo
+            np.multiply.outer(_T01, hi, out=row)
+            row += lo
+            row **= pf
+            row.reshape(q, -1).sum(axis=-1, out=sums[k])
+        cell = _W01_2D @ sums.reshape(-1)
         return peak * float(cell * self.h * self.h) ** (1.0 / pf)
 
 
@@ -297,15 +299,36 @@ def _node_buffer(model, shape):
     return buf[:size].reshape(shape)
 
 
-def _pwl_norm(model, a, b, h, pf):
-    """Lp norm of linear segments a -> b of common width h (8-node Gauss)
-    along the last axis; a and b are the magnitudes at the segment ends."""
-    peak = np.maximum(a.max(axis=-1, initial=0.0), b.max(axis=-1, initial=0.0))
-    seg = np.multiply.outer(b - a, _T01, out=_node_buffer(model, a.shape + _T01.shape))
-    seg += a[..., None]
-    seg /= _divisor(peak, 2)
-    seg **= pf
-    return _scaled_root(peak, (seg @ _W01).sum(axis=-1) * h, pf)
+def _pwl_norm(model, values, h, pf, cyclic):
+    """Lp norm of the piecewise-linear function through ``values`` (knots
+    of common spacing h along the last axis; ``cyclic`` closes the last
+    segment back to the first knot), by 8-node Gauss on every segment.
+
+    The nodes are the leading axis of the (8, *stack, segments) values, so
+    every pass runs over whole rows of segments.  Each node's values are
+    summed over the segments of each function, and the 8 node sums are
+    weighted and added one node after another, elementwise: a row of a
+    stack gets exactly the value the same function has alone.  (One BLAS
+    matvec over all rows would not: OpenBLAS's dgemv rounds a column by
+    its position when the row length is not a multiple of 4.)
+    """
+    mags = np.abs(values)
+    peak = mags.max(axis=-1, initial=0.0)
+    if math.isinf(pf):
+        return _scalar_or_rows(peak)
+    mags /= _divisor(peak, 1)
+    a = mags if cyclic else mags[..., :-1]
+    b = np.roll(mags, -1, axis=-1) if cyclic else mags[..., 1:]
+    # the values a + t (b - a) at the nodes t, with b - a in the last row
+    buf = _node_buffer(model, (_T01.size + 1,) + a.shape)
+    nodes = np.multiply.outer(_T01, np.subtract(b, a, out=buf[-1]), out=buf[:-1])
+    nodes += a
+    nodes **= pf
+    sums = nodes.sum(axis=-1)
+    total = sums[0] * _W01[0]
+    for s, w in zip(sums[1:], _W01[1:]):
+        total += s * w
+    return _scaled_root(peak, total * h, pf)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 
 from scipy import fft as sp_fft
 
+from youngconv.cli import _build_model
+from youngconv.constants import beckner_Y_Rn
 from youngconv.convolution import (
     _T01,
     _W01,
@@ -22,6 +24,7 @@ from youngconv.convolution import (
     twisted_convolve,
     young_ratio,
 )
+from youngconv.estimator import EstimatorConfig, estimate
 from youngconv.exponents import young_p
 from youngconv.groups import (
     GroupFunction,
@@ -344,9 +347,9 @@ def test_fftconvolve_2d_bit_equal_to_scipy_fft(shape1, shape2):
 
 
 def test_norms_after_a_larger_norm_are_unchanged():
-    # the line and torus norms reuse one Gauss-node buffer per model and the
-    # plane norm writes into fresh uninitialized memory: either may hold an
-    # earlier norm's values, so every value must be written before it is read
+    # the line, torus and plane norms reuse one Gauss-node buffer per model,
+    # which may hold an earlier norm's values, so every value must be
+    # written before it is read
     rng = np.random.default_rng(8)
     line, torus, plane = make_real_line(0.25, 4.0), make_torus(16), make_plane(0.5, 2.0)
     for result, big, small in (
@@ -363,10 +366,21 @@ def test_norms_after_a_larger_norm_are_unchanged():
             assert result(np.stack([v, v])).lp_norm(p).tolist() == [first, first]
 
 
-# Bit-identity oracles: the norm expressions as first written, before their
-# temporaries were built in place.  The in-place forms must agree exactly.
+# Norm oracles.  The weighted norm must equal, bit for bit, its expression
+# as first written, before its temporaries were built in place.  The
+# piecewise-linear norms take their Gauss sums with the nodes outermost:
+# they must equal, bit for bit, the node-outer expressions below, written
+# plainly.  They must also agree with a 30-digit evaluation of the same
+# Gauss sum to 2e-15 relative, and with the per-cell expressions as first
+# written to 2e-15 (line, torus) or the plane bound below.
 
 ORACLE_PS = [5 / 4, 4 / 3, 3 / 2, 2.0, 7 / 3, 4.0, math.inf]
+ORACLE_RTOL = 2e-15
+# The per-cell plane expression adds its 64 x cells terms one after
+# another (an unoptimized einsum): on the oracle draws it is itself up to
+# 4.3e-15 relative away from the 30-digit Gauss sum, which the node-outer
+# norm meets to 2.2e-16, so a comparison with it needs that much room.
+PLANE_PER_CELL_RTOL = 5e-15
 
 
 def _ref_weighted_norm(weight, values, pf):
@@ -424,6 +438,73 @@ def _ref_plane_norm(v, h, pf):
     return peak * float(cell * h * h) ** (1.0 / pf)
 
 
+def _ref_nodes_pwl_norm(v, h, pf, cyclic):
+    """Gauss sum with the nodes outermost: each node's values summed over
+    the segments, then the node sums weighted and added in node order."""
+    v = np.abs(v)
+    if math.isinf(pf):
+        return float(v.max())
+    peak = float(v.max())
+    if peak == 0.0:
+        return 0.0
+    v = v / peak
+    a = v if cyclic else v[:-1]
+    b = np.roll(v, -1) if cyclic else v[1:]
+    sums = [np.sum((a + t * (b - a)) ** pf) for t in _T01]
+    total = sum(w * s for w, s in zip(_W01, sums))
+    return peak * float(total * h) ** (1.0 / pf)
+
+
+def _ref_nodes_plane_norm(v, h, pf):
+    """Gauss sum with the node pairs (t, s) outermost: the surface at each
+    pair summed over the cells, then one dot with the weight products."""
+    v = np.abs(v)
+    if math.isinf(pf):
+        return float(v.max())
+    peak = float(v.max())
+    if peak == 0.0:
+        return 0.0
+    v = v / peak
+    sums = np.empty((_T01.size, _T01.size))
+    for k, t in enumerate(_T01):
+        lo = v[:-1, :-1] * (1 - t) + v[1:, :-1] * t
+        hi = v[:-1, 1:] * (1 - t) + v[1:, 1:] * t
+        for j, s in enumerate(_T01):
+            sums[k, j] = np.sum((lo + s * (hi - lo)) ** pf)
+    cell = np.outer(_W01, _W01).ravel() @ sums.ravel()
+    return peak * float(cell * h * h) ** (1.0 / pf)
+
+
+def _mp_gauss_sum_norm(v, h, pf, kind):
+    """The same 8-node Gauss sum (the float nodes and weights) taken with
+    30 significant digits: the exact value the float sums round."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        t = [mpmath.mpf(float(x)) for x in _T01]
+        w = [mpmath.mpf(float(x)) for x in _W01]
+        pm = mpmath.mpf(pf)
+        v = np.abs(np.asarray(v, dtype=float))
+        if kind == "plane":
+            vm = [[mpmath.mpf(float(x)) for x in row] for row in v]
+            total = mpmath.mpf(0)
+            for i in range(len(vm) - 1):
+                for j in range(len(vm[0]) - 1):
+                    c00, c10, c01, c11 = vm[i][j], vm[i + 1][j], vm[i][j + 1], vm[i + 1][j + 1]
+                    for tk, wk in zip(t, w):
+                        lo, hi = c00 + tk * (c10 - c00), c01 + tk * (c11 - c01)
+                        for sj, wj in zip(t, w):
+                            total += wk * wj * (lo + sj * (hi - lo)) ** pm
+            total *= mpmath.mpf(h) ** 2
+        else:
+            vm = [mpmath.mpf(float(x)) for x in v]
+            ends = list(zip(vm, vm[1:] + vm[:1])) if kind == "torus" else list(zip(vm[:-1], vm[1:]))
+            total = mpmath.fsum(
+                wk * (a + tk * (b - a)) ** pm for a, b in ends for tk, wk in zip(t, w)
+            )
+            total *= mpmath.mpf(h)
+        return float(total ** (1 / pm))
+
+
 def _oracle_draws(rng, shape):
     """Mixed-sign values whose magnitudes span 1e-5 to 1e5, then all zeros."""
     # a reassociated product changes the last bit of only some norms, so
@@ -431,6 +512,10 @@ def _oracle_draws(rng, shape):
     for _ in range(40):
         yield rng.standard_normal(shape) * 10.0 ** rng.uniform(-5.0, 5.0, shape)
     yield np.zeros(shape)
+
+
+def _assert_rel(got, want, rtol=ORACLE_RTOL):
+    assert abs(got - want) <= rtol * abs(want), (got, want)
 
 
 @pytest.mark.parametrize("pf", ORACLE_PS)
@@ -442,14 +527,98 @@ def test_norms_bit_equal_to_reference_expressions(pf):
             assert _weighted_norm(weight, v, pf) == _ref_weighted_norm(weight, v, pf)
     line, torus, plane = make_real_line(0.25, 4.0), make_torus(16), make_plane(0.5, 2.0)
     for v in _oracle_draws(rng, 4 * line.size + 1):
-        result = LinePWL(line, -8.0, line.h, v)
-        assert result.lp_norm(pf) == _ref_line_norm(v, line.h, pf)
+        got = LinePWL(line, -8.0, line.h, v).lp_norm(pf)
+        assert got == _ref_nodes_pwl_norm(v, line.h, pf, cyclic=False)
+        _assert_rel(got, _ref_line_norm(v, line.h, pf))
     for v in _oracle_draws(rng, torus.size):
-        assert TorusPWL(torus, v).lp_norm(pf) == _ref_torus_norm(v, torus.h, pf)
+        got = TorusPWL(torus, v).lp_norm(pf)
+        assert got == _ref_nodes_pwl_norm(v, torus.h, pf, cyclic=True)
+        _assert_rel(got, _ref_torus_norm(v, torus.h, pf))
     n = 2 * plane.centers.size + 1
     for v in _oracle_draws(rng, (n, n)):
-        result = PlanePWL(plane, -4.0, plane.h, v)
-        assert result.lp_norm(pf) == _ref_plane_norm(v, plane.h, pf)
+        got = PlanePWL(plane, -4.0, plane.h, v).lp_norm(pf)
+        assert got == _ref_nodes_plane_norm(v, plane.h, pf)
+        _assert_rel(got, _ref_plane_norm(v, plane.h, pf), PLANE_PER_CELL_RTOL)
+
+
+@pytest.mark.parametrize("pf", [4 / 3, 15 / 7, 4.0])
+def test_norms_match_a_30_digit_gauss_sum(pf):
+    rng = np.random.default_rng(12)
+    line, torus, plane = make_real_line(0.25, 4.0), make_torus(16), make_plane(0.5, 1.0)
+    n = 2 * plane.centers.size + 1
+    for _, v in zip(range(2), _oracle_draws(rng, 4 * line.size + 1)):
+        want = _mp_gauss_sum_norm(v, line.h, pf, "line")
+        _assert_rel(LinePWL(line, -8.0, line.h, v).lp_norm(pf), want)
+    for _, v in zip(range(2), _oracle_draws(rng, torus.size)):
+        _assert_rel(TorusPWL(torus, v).lp_norm(pf), _mp_gauss_sum_norm(v, torus.h, pf, "torus"))
+    for _, v in zip(range(2), _oracle_draws(rng, (n, n))):
+        want = _mp_gauss_sum_norm(v, plane.h, pf, "plane")
+        _assert_rel(PlanePWL(plane, -2.0, plane.h, v).lp_norm(pf), want)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 16])
+def test_norm_of_a_stack_row_equals_the_lone_norm(rows):
+    # the Gauss sums of a whole stack run as one array, and the estimator's
+    # lockstep restarts rely on every row getting the bits it gets alone
+    rng = np.random.default_rng(13)
+    line, plane = make_real_line(0.05, 8.0), make_plane(0.2, 4.0)
+    cases = [
+        (lambda v: LinePWL(line, -16.0, line.h, v), (641,)),
+        (lambda v: TorusPWL(make_torus(640), v), (640,)),
+        (lambda v: TorusPWL(make_torus(5), v), (5,)),
+        (lambda v: PlanePWL(plane, -8.0, plane.h, v), (81, 81)),
+    ]
+    for result, shape in cases:
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, (rows,) + (1,) * len(shape))
+        stack = rng.standard_normal((rows,) + shape) * scale
+        if rows == 3:
+            stack[1] = 0.0  # a zero row among nonzero ones
+        for pf in ORACLE_PS:
+            norms = result(stack).lp_norm(pf)
+            assert norms.shape == (rows,)
+            assert norms.tolist() == [result(v).lp_norm(pf) for v in stack]
+
+
+def _smallest_grids():
+    line, torus, plane = make_real_line(0.5, 0.5), make_torus(2), make_plane(0.5, 0.5)
+    h = line.h  # every grid here has cells of width 1/2
+    return [
+        # (result builder, knot shape, accuracy oracle)
+        (lambda v: LinePWL(line, -1.0, h, v), (5,), lambda v, pf: _ref_line_norm(v, h, pf)),
+        (lambda v: LinePWL(line, 0.0, h, v), (2,), lambda v, pf: _ref_line_norm(v, h, pf)),
+        (lambda v: TorusPWL(torus, v), (2,), lambda v, pf: _ref_torus_norm(v, h, pf)),
+        (lambda v: PlanePWL(plane, -1.0, h, v), (5, 5), lambda v, pf: _ref_plane_norm(v, h, pf)),
+    ]
+
+
+@pytest.mark.parametrize("pf", ORACLE_PS)
+def test_norms_on_the_smallest_grids(pf):
+    # a 2-cell line (5 knots), one segment, a 2-cell circle and a 2 x 2 plane
+    # (5 x 5 knots): all zeros, one nonzero knot and random values
+    rng = np.random.default_rng(15)
+    for result, shape, oracle in _smallest_grids():
+        one = np.zeros(shape)
+        one.flat[rng.integers(one.size)] = -2.5
+        for v in (np.zeros(shape), one, rng.standard_normal(shape)):
+            got = result(v).lp_norm(pf)
+            assert math.isfinite(got)
+            want = oracle(v, pf)
+            if want == 0.0:
+                assert got == 0.0
+            else:
+                _assert_rel(got, want)
+
+
+@pytest.mark.parametrize("selector, upper", [
+    ("Rline:h=0.5,L=0.5", beckner_Y_Rn(EX.p1, EX.p2, 1)),
+    ("Torus:2", 1.0),
+    ("Plane:h=0.5,L=0.5", beckner_Y_Rn(EX.p1, EX.p2, 2)),
+])
+def test_estimate_on_the_smallest_grids(selector, upper):
+    cfg = EstimatorConfig(restarts=2, max_iters=20, seed=42)
+    report = estimate(_build_model(selector), EX, cfg)
+    assert math.isfinite(report.lower_bound)
+    assert 0.0 < report.lower_bound <= upper + 1e-12
 
 
 # Row-loop oracles: the affine kernels as first written, with one inverse

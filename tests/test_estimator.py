@@ -10,6 +10,7 @@ from youngconv.cli import _build_model
 from youngconv.constants import beckner_Y_Rn
 from youngconv.convolution import (
     _delta_exponent,
+    _weighted_norm,
     ascent_direction_phi1,
     ascent_direction_phi2,
     young_ratio,
@@ -233,6 +234,7 @@ def test_estimate_rejects_fewer_than_one_restart():
             estimate(cyclic_group(6), young_p("4/3", "3/2"), EstimatorConfig(restarts=restarts))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("p", ["4/3", "inf"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_normalize_rejects_non_finite_values(p, bad):
@@ -241,6 +243,13 @@ def test_normalize_rejects_non_finite_values(p, bad):
     values[3] = bad
     with pytest.raises(GroupModelError, match="finite"):
         estimator._normalize(model, values, Exponent(p))
+    # in a stack the bad row's norm is not finite, and the other rows keep
+    # the norms they have alone
+    stack = np.stack([np.linspace(0.2, 3.0, model.size), values, np.zeros(model.size)])
+    norms = _weighted_norm(model.weight, stack, float(Exponent(p)))
+    assert not math.isfinite(norms[1])
+    for row in (0, 2):
+        assert norms[row] == _weighted_norm(model.weight, stack[row], float(Exponent(p)))
 
 
 def _serial_restart(model, ex, cfg, restart_index, one_row=False):
