@@ -664,18 +664,28 @@ def _affine_residual(model, v1, v2, ex):
 
 def centered_integrals(values, h, axis=-1):
     """Exact integrals of a PWL function over [knot - h/2, knot + h/2],
-    with knots along ``axis``."""
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
-    padded = np.zeros(v.shape[:-1] + (v.shape[-1] + 2,))
-    padded[..., 1:-1] = v
-    out = (h / 8.0) * (padded[..., :-2] + 6.0 * padded[..., 1:-1] + padded[..., 2:])
-    return np.moveaxis(out, -1, axis)
+    with knots along ``axis``: (h/8) (left + 6 v + right), zero beyond the
+    ends, built in one array."""
+    v = np.asarray(values, dtype=float)
+    head, tail = [slice(None)] * v.ndim, [slice(None)] * v.ndim
+    head[axis], tail[axis] = slice(None, -1), slice(1, None)
+    head, tail = tuple(head), tuple(tail)
+    out = 6.0 * v
+    out[tail] += v[head]  # left neighbours
+    out[head] += v[tail]  # right neighbours
+    out *= h / 8.0
+    return out
 
 
 def _centered_integrals_cyclic(values, h):
-    return (h / 8.0) * (
-        np.roll(values, 1, axis=-1) + 6.0 * values + np.roll(values, -1, axis=-1)
-    )
+    """centered_integrals on a cycle: the ends are each other's neighbours."""
+    out = 6.0 * values
+    out[..., 1:] += values[..., :-1]
+    out[..., 0] += values[..., -1]
+    out[..., :-1] += values[..., 1:]
+    out[..., -1] += values[..., 0]
+    out *= h / 8.0
+    return out
 
 
 def _centered_integrals_2d(values, h):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,71 @@ def test_rejects_bad_inputs():
             GroupFunction(g, np.array([1.0, -1.0, 1, 1, 1, 1])),
             GroupFunction(g, np.ones(6)),
         )
+
+
+def test_zero_function_is_refused_before_dividing():
+    # a zero phi1 or phi2 used to divide 0 by 0 (RuntimeWarning) and then
+    # fail as a "non-finite coset functional"
+    pair = build_subgroup_pair(cyclic_group(6), [0, 3])
+    g = pair.group
+    ex = young_p("4/3", "4/3")
+    zero, one = GroupFunction(g, np.zeros(6)), GroupFunction(g, np.ones(6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ChainError, match="phi1 is the zero function"):
+            build_coset_functionals(pair, ex, zero, one)
+        with pytest.raises(ChainError, match="phi2 is the zero function"):
+            build_coset_functionals(pair, ex, one, zero)
+        stack = np.ones((3, 6))
+        stack[2] = 0.0
+        with pytest.raises(ChainError, match=r"phi2 is the zero function in row \[2\]"):
+            build_coset_functionals(pair, ex, np.ones((3, 6)), stack)
+
+
+def test_stack_rejects_mismatched_or_non_finite_values():
+    pair = build_subgroup_pair(cyclic_group(6), [0, 3])
+    ex = young_p("4/3", "4/3")
+    with pytest.raises(ChainError, match="stacks differ"):
+        build_coset_functionals(pair, ex, np.ones((2, 6)), np.ones((3, 6)))
+    with pytest.raises(ChainError, match="do not end in"):
+        build_coset_functionals(pair, ex, np.ones((2, 5)), np.ones((2, 5)))
+    bad = np.ones((2, 6))
+    bad[1, 3] = np.nan
+    with pytest.raises(ChainError, match="non-finite"):
+        build_coset_functionals(pair, ex, np.ones((2, 6)), bad)
+
+
+@pytest.mark.parametrize("stack", [(1,), (3,), (17,), (2, 3)])
+def test_stack_row_gets_the_residuals_of_the_lone_instance(stack):
+    # every array, norm and residual of a stacked instance has the bits the
+    # same instance gets alone; reports on the stack carry the worst row
+    rng = np.random.default_rng(7)
+    for pair in _pairs():
+        g = pair.group
+        for candidate in (pair, corrupt_delta(pair)):
+            for ex in TRIPLES:
+                v = 0.05 + rng.random(stack + (2,) + g.shape)
+                po = build_coset_functionals(candidate, ex, v[..., 0, :], v[..., 1, :])
+                ids, report = identity_checks(po), chain_check(po, 1.0)
+                for row in np.ndindex(stack):
+                    lone = build_coset_functionals(
+                        candidate,
+                        ex,
+                        GroupFunction(g, v[row][0].copy()),
+                        GroupFunction(g, v[row][1].copy()),
+                    )
+                    for name in ("phi1", "phi2", "S", "T", "U", "F", "tu_norm"):
+                        assert np.array_equal(getattr(po, name)[row], getattr(lone, name)), name
+                    assert np.array_equal(po.psi.values[row], lone.psi.values)
+                    assert po.rep_independence_residual[row] == lone.rep_independence_residual
+                    lone_report = chain_check(lone, 1.0)
+                    lone_checks = identity_checks(lone) + lone_report.steps
+                    for check, want in zip(ids + report.steps, lone_checks):
+                        assert check.rows[row] == want.residual, (check.name, row)
+                    assert report.end_to_end_lhs[row] == lone_report.end_to_end_lhs
+                    assert report.direct_norm[row] == lone_report.direct_norm
+                for check in ids + report.steps:
+                    assert check.residual == check.rows.max()
 
 
 def test_generalized_holder_basic():

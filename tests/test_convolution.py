@@ -13,11 +13,14 @@ from youngconv.convolution import (
     LinePWL,
     PlanePWL,
     TorusPWL,
+    _centered_integrals_2d,
+    _centered_integrals_cyclic,
     _convolve,
     _next_fast_len,
     _weighted_norm,
     ascent_direction_phi1,
     ascent_direction_phi2,
+    centered_integrals,
     fftconvolve,
     lp_norm,
     transform_identity_check,
@@ -762,3 +765,34 @@ def test_affine_row_sums_match_per_row_reference(model):
                     )
                     assert np.array_equal(ascent_direction_phi1(model, v2[s], w_s, de), a_star[s])
                     assert np.array_equal(ascent_direction_phi2(model, v1[s], w_s, de), b_star[s])
+
+
+def _ref_centered_integrals(values, h, axis=-1):
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
+    padded = np.zeros(v.shape[:-1] + (v.shape[-1] + 2,))
+    padded[..., 1:-1] = v
+    out = (h / 8.0) * (padded[..., :-2] + 6.0 * padded[..., 1:-1] + padded[..., 2:])
+    return np.moveaxis(out, -1, axis)
+
+
+def _ref_centered_integrals_cyclic(values, h):
+    return (h / 8.0) * (
+        np.roll(values, 1, axis=-1) + 6.0 * values + np.roll(values, -1, axis=-1)
+    )
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (3,), (16,)])
+def test_centered_integrals_bit_equal_to_reference_expressions(batch):
+    rng = np.random.default_rng(16)
+    for n in (1, 2, 3, 8, 81, 641):
+        scale = 10.0 ** rng.uniform(-5.0, 5.0, batch + (n,))
+        v = rng.standard_normal(batch + (n,)) * scale
+        for h in (0.05, 0.2, 1.0 / 3.0):
+            assert np.array_equal(centered_integrals(v, h), _ref_centered_integrals(v, h))
+            assert np.array_equal(
+                _centered_integrals_cyclic(v, h), _ref_centered_integrals_cyclic(v, h)
+            )
+    for m, n in ((1, 1), (2, 5), (81, 81)):
+        v = rng.standard_normal(batch + (m, n)) * 10.0 ** rng.uniform(-5.0, 5.0)
+        want = _ref_centered_integrals(_ref_centered_integrals(v, 0.2, axis=-2), 0.2, axis=-1)
+        assert np.array_equal(_centered_integrals_2d(v, 0.2), want)

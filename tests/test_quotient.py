@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -139,3 +141,100 @@ def test_corrupted_delta_detected():
     assert weil_decompose_check(tpair, phi) > 0.05
     # beta < 0 moves the comparison point into the uncorrupted half
     assert left_invariance_check(tpair, phi, -0.15) > 0.05
+
+
+# Per-coset references: one fiber at a time, each with its own lookups.
+
+
+def _ref_delta_at(pair, u, b):
+    m = pair.group
+    row, col = int(m.u_index(u)), int(m.b_index(b))
+    return 1.0 if row < 0 or col < 0 else float(pair.delta[row, col])
+
+
+def _ref_translation_fiber(m, values, u, b):
+    row = int(m.u_index(u))
+    if row < 0:
+        return 0.0
+    cols = m.b_index(b + (np.arange(-m.n_b, m.n_b) + 0.5) * m.h_b)
+    return float(m.h_b * values[row, cols[cols >= 0]].sum())
+
+
+def _ref_dilation_fiber(m, values, u, b):
+    rows = m.u_index(m.u_centers + u)
+    cols = m.b_index(np.exp(m.u_centers) * b)
+    ok = (rows >= 0) & (cols >= 0)
+    return float(m.h_u * values[rows[ok], cols[ok]].sum()) if np.any(ok) else 0.0
+
+
+def _ref_points(pair, h_element):
+    """(u, b) of every representative, or of h_element times it."""
+    m = pair.group
+    if pair.kind == "affine_translations":
+        b = 0.0 if h_element is None else float(h_element)
+        return [(u, b) for u in m.u_centers]
+    du = 0.0 if h_element is None else float(h_element)
+    return [(du, math.exp(du) * c) for c in pair.c_centers]
+
+
+def _ref_weil(pair, vals):
+    m = pair.group
+    fiber = _ref_translation_fiber if pair.kind == "affine_translations" else _ref_dilation_fiber
+    lhs = sum(
+        cm * fiber(m, vals, u, b) * _ref_delta_at(pair, u, b)
+        for cm, (u, b) in zip(pair.coset_measure, _ref_points(pair, None))
+    )
+    rhs = float(np.sum(m.weight * vals))
+    return abs(lhs - rhs) / float(np.sum(m.weight * np.abs(vals)))
+
+
+def _ref_invariance(pair, vals, h_element):
+    m = pair.group
+    fiber = _ref_translation_fiber if pair.kind == "affine_translations" else _ref_dilation_fiber
+    worst, scale = 0.0, 0.0
+    for (u, b), (mu, mb) in zip(_ref_points(pair, None), _ref_points(pair, h_element)):
+        a_rep = fiber(m, vals, u, b) * _ref_delta_at(pair, u, b)
+        a_mov = fiber(m, vals, mu, mb) * _ref_delta_at(pair, mu, mb)
+        worst = max(worst, abs(a_rep - a_mov))
+        scale = max(scale, abs(a_rep))
+    return worst / scale if scale > 0 else worst
+
+
+def _ref_coset_measure(pair):
+    m = pair.group
+    ref = pair._reference_bump()
+    if pair.kind == "affine_translations":
+        raw = np.full(m.n_u, m.h_u)
+        lhs = sum(
+            raw[i] * _ref_translation_fiber(m, ref, u, 0.0) * _ref_delta_at(pair, u, 0.0)
+            for i, u in enumerate(m.u_centers)
+        )
+    else:
+        raw = np.full(pair.c_centers.size, pair.h_c)
+        lhs = sum(
+            raw[x] * _ref_dilation_fiber(m, ref, 0.0, c) for x, c in enumerate(pair.c_centers)
+        )
+    return raw * (float(np.sum(m.weight * ref)) / lhs)
+
+
+@pytest.mark.parametrize("grid", [AFF_GRID, (0.1, 0.5, 0.1, 1.0), (0.25, 1.0, 0.5, 2.0)])
+def test_gathered_fibers_equal_per_coset_reference(grid):
+    # every coset's fiber comes from one gather, summed in the per-coset
+    # order, so the residuals keep the bits of one fiber at a time; shifts
+    # of both signs move fibers partly or wholly out of the window
+    aff = make_affine_group(*grid)
+    rng = np.random.default_rng(8)
+    vals = [_bump(aff, cb=0.2), _bump(aff, su=0.15), rng.random(aff.shape)]
+    for spec, shifts in (
+        ("translations", (-0.137, 0.0, 5 * aff.h_b, 0.9 * aff.b_half_width, 3 * aff.b_half_width)),
+        ("dilations", (-0.3, -0.06, 0.0, 0.06, 0.5, 3.0 * aff.u_half_width)),
+    ):
+        pair = build_subgroup_pair(aff, spec)
+        assert np.array_equal(pair.coset_measure, _ref_coset_measure(pair))
+        for pair in (pair, corrupt_delta(pair)):
+            for v in vals:
+                phi = GroupFunction(aff, v)
+                assert weil_decompose_check(pair, phi) == _ref_weil(pair, v)
+                for shift in shifts:
+                    want = _ref_invariance(pair, v, shift)
+                    assert left_invariance_check(pair, phi, shift) == want, (spec, shift)

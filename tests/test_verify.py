@@ -1,0 +1,97 @@
+import json
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from youngconv.chain import build_coset_functionals, chain_check, identity_checks
+from youngconv.exponents import young_p
+from youngconv.groups import GroupFunction
+from youngconv.verify import (
+    CHAIN_BLOCK,
+    TRIPLES,
+    _chain_worst,
+    _finite_pairs,
+    proof_chain_table,
+    run_battery,
+)
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_golden.json").read_text())
+CHAIN_ATOL = 5e-16  # chain residuals sit at float roundoff
+AFFINE_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("corrupt", [None, "delta"])
+def test_verify_layer_matches_golden_file(corrupt):
+    key = "corrupt_delta" if corrupt else "clean"
+    rows, ok = proof_chain_table(seeds=100, corrupt=corrupt)
+    want = GOLDEN["proof_chain_table"][key]
+    assert ok == want["passed"]
+    assert [(r["pair"], r["p1"], r["p2"], r["step"], r["passed"]) for r in rows] == [
+        (r["pair"], r["p1"], r["p2"], r["step"], r["passed"]) for r in want["rows"]
+    ]
+    for got, exp in zip(rows, want["rows"]):
+        assert got["worst_residual"] == pytest.approx(exp["worst_residual"], rel=0, abs=CHAIN_ATOL)
+
+    items, ok = run_battery(seeds=5, proof_seeds=5, with_estimates=False, corrupt=corrupt)
+    want = GOLDEN["run_battery"][key]
+    assert ok == want["passed"]
+    assert [(i.name, i.passed) for i in items] == [(i["name"], i["passed"]) for i in want["items"]]
+    for got, exp in zip(items, want["items"]):
+        if got.name.startswith("chain-"):
+            assert got.worst == pytest.approx(exp["worst_residual"], rel=0, abs=CHAIN_ATOL)
+        else:
+            assert got.worst == pytest.approx(exp["worst_residual"], rel=AFFINE_RTOL, abs=0)
+
+
+def test_block_draw_equals_one_draw_per_seed():
+    for _, pair in _finite_pairs():
+        shape = pair.group.shape
+        block_rng, seed_rng = np.random.default_rng(3), np.random.default_rng(3)
+        block = 0.05 + block_rng.random((CHAIN_BLOCK + 3, 2) + shape)
+        for draw in block:
+            assert np.array_equal(draw[0], 0.05 + seed_rng.random(shape))
+            assert np.array_equal(draw[1], 0.05 + seed_rng.random(shape))
+        assert block_rng.bit_generator.state == seed_rng.bit_generator.state
+
+
+def _lone_chain_worst(pairs, rng, seeds):
+    """_chain_worst with one instance at a time."""
+    for name, pair in pairs:
+        g = pair.group
+        for p1, p2 in TRIPLES:
+            ex = young_p(p1, p2)
+            rep, ids, steps = 0.0, {}, {}
+            for _ in range(seeds):
+                f1 = GroupFunction(g, 0.05 + rng.random(g.shape))
+                f2 = GroupFunction(g, 0.05 + rng.random(g.shape))
+                po = build_coset_functionals(pair, ex, f1, f2)
+                rep = max(rep, po.rep_independence_residual)
+                for c in identity_checks(po):
+                    ids[c.name] = max(ids.get(c.name, 0.0), c.residual)
+                for c in chain_check(po, 1.0).steps:
+                    steps[c.name] = max(steps.get(c.name, 0.0), c.residual)
+            yield name, p1, p2, rep, ids, steps
+
+
+@pytest.mark.parametrize("corrupt", [None, "delta"])
+def test_blocked_chain_equals_one_instance_at_a_time(corrupt):
+    seeds = CHAIN_BLOCK + 5  # one full block and a short one
+    pairs = _finite_pairs(corrupt)
+    blocked = list(_chain_worst(pairs, np.random.default_rng(11), seeds))
+    lone = list(_lone_chain_worst(pairs, np.random.default_rng(11), seeds))
+    assert blocked == lone
+
+
+def test_chain_table_memory_does_not_grow_with_seeds():
+    # the instances run in blocks of a fixed size
+    peaks = []
+    for seeds in (100, 2000):
+        tracemalloc.start()
+        try:
+            proof_chain_table(seeds=seeds)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
