@@ -22,8 +22,13 @@ applies as a batched 1-d convolution.  An operand shared by every row of
 such a loop is transformed once and reused as a spectrum.  The forward
 convolution and A* add the products of all phi2 rows into one spectrum,
 at each row's shift, and take one inverse FFT per call; they agree with a
-sum of per-row inverses to about 1e-15 relative.  B* samples each inverse
-at dilated positions, so it keeps one inverse per output row.
+sum of per-row inverses to about 1e-15 relative.  Each reads only the
+central window of its row convolutions, as wide as the kernel (W columns),
+so they transform at the least fast length >= W: a circular convolution
+that long aliases only outside the window, and it is shorter than the
+full linear length by the carrier width.  B* samples each inverse at
+dilated positions across the whole correlation, so it keeps the full
+length and one inverse per output row.
 
 Every kernel, adjoint and norm also takes a stack of functions: leading
 axes in front of the model's own (numpy ``...`` style), reduced only over
@@ -108,24 +113,21 @@ def _next_fast_len(k):
     return best
 
 
-def _convolve_last(a, b, mode="full"):
+def _convolve_last(a, b, mode="full", out=None):
     """Linear convolution along the last axis of two functions, or of two
     stacks with the same leading axes, row by row with np.convolve in
-    ``mode``, so a row of a stack gets exactly the values it has alone."""
-    if a.ndim == 1:
+    ``mode``, so a row of a stack gets exactly the values it has alone.
+    ``out`` may take the result in place of a new array: a C-contiguous
+    array or a slice of one along the last axis, so that out.reshape(-1, n)
+    is a view of it."""
+    if a.ndim == 1 and out is None:
         return np.convolve(a, b, mode)
     la, lb = a.shape[-1], b.shape[-1]
-    out = np.empty(a.shape[:-1] + (la + lb - 1 if mode == "full" else abs(la - lb) + 1,))
+    if out is None:
+        out = np.empty(a.shape[:-1] + (la + lb - 1 if mode == "full" else abs(la - lb) + 1,))
     for row, x, y in zip(out.reshape(-1, out.shape[-1]), a.reshape(-1, la), b.reshape(-1, lb)):
         row[:] = np.convolve(x, y, mode)
     return out
-
-
-def _row_spectrum(values, full):
-    """FFT length for a row-wise convolution of full length ``full``, and the
-    rfft of every row of ``values`` at that length."""
-    nfft = _next_fast_len(full)
-    return nfft, np.fft.rfft(values, nfft)
 
 
 def _pf(p) -> float:
@@ -193,7 +195,8 @@ class ConvolutionResult:
         """Same domain, values raised entrywise to a positive power."""
         clone = self.__class__.__new__(self.__class__)
         clone.__dict__.update(self.__dict__)
-        clone.values = np.abs(self.values) ** exponent
+        clone.values = np.abs(self.values)
+        clone.values **= exponent
         return clone
 
 
@@ -365,9 +368,11 @@ def _integer_line_convolve(model, v1, v2, de, enlarged):
 
 
 def _real_line_convolve(model, v1, v2, de, enlarged):
-    core = _convolve_last(v1, v2)
-    knots = np.zeros(core.shape[:-1] + (core.shape[-1] + 2,))
-    np.multiply(model.h, core, out=knots[..., 1:-1])
+    # the convolution goes straight into the interior of the knot array,
+    # whose two end knots stay 0
+    knots = np.zeros(v1.shape[:-1] + (v1.shape[-1] + v2.shape[-1] + 1,))
+    core = _convolve_last(v1, v2, out=knots[..., 1:-1])
+    core *= model.h
     return LinePWL(model, -2.0 * model.half_width, model.h, knots)
 
 
@@ -412,49 +417,78 @@ def _finite_convolve(model, v1, v2, de, enlarged=True):
     return CellConvolution(model, _vec_mat(v1, _finite_kernel(model, v2, de)), model.weight)
 
 
-def _affine_kernel_cols(model: AffineModel, out_b):
+def _affine_kernel_cols(model: AffineModel, out_b, reverse=False):
     """Cell column of e^{-u_i} x_d for every carrier row i and every b offset
-    x_d from the carrier to the output grid ``out_b``; a column outside the
-    window is n_b, the zero that _summed_row_convolutions puts past the end
-    of every phi2 row."""
-    nb = model.n_b
-    d = np.arange(nb + out_b.size - 1) - (nb - 1)
-    x_d = (out_b[0] - model.b_centers[0]) + d * model.h_b
-    args = np.exp(-model.u_centers)[:, None] * x_d[None, :]  # e^{-u_i} is Delta at row i
-    col = np.floor((args + model.b_half_width) / model.h_b).astype(int)
-    return np.where((col >= 0) & (col < nb), col, nb)
+    x_d from the carrier to the output grid ``out_b``, the offsets reversed
+    when ``reverse``, padded to the FFT length of the row convolutions.
 
-
-def _summed_row_convolutions(spec, v2, cols, n_rows, nfft, terms):
-    """One inverse FFT of a sum of row-wise convolutions with phi2 rows.
-
-    ``terms`` yields (r, rows, src, dst, dfac): phi2 row r, gathered at the
-    columns ``cols[rows]`` and scaled by the float dfac, gives one kernel
-    row per carrier row in ``rows``; the rfft of each kernel row at length
-    nfft times the rows ``src`` of the spectrum ``spec`` is added into the
-    rows ``dst`` of the sum.  A phi2 row that is all zero is skipped.  The
-    inverse FFT is linear, so the products are summed in the frequency
-    domain and the call ends in one irfft of its n_rows rows instead of one
-    per phi2 row.  Kernels are built inside a zeroed nfft-wide buffer, so
-    rfft pads nothing.  A row of a stack is summed on its own, so it gets
-    the values it has alone.
+    A row convolution with these W = n_b + out_b.size - 1 offsets is read
+    only on its W-wide central window, which a circular convolution of any
+    length N >= W leaves free of aliasing, so N is the least fast length
+    >= W.  A column outside the window, and every column past the W
+    offsets, is n_b, the zero that _summed_row_convolutions puts past the
+    end of every phi2 row, so a kernel row is gathered whole.  Built once
+    per model and output window and kept on the model (a few hundred
+    kilobytes on the criterion-6 grid); the FFT length is the width.
     """
+    key = (out_b.size, float(out_b[0]), reverse)
+    cache = getattr(model, "_kernel_cols", None)
+    if cache is None:
+        cache = model._kernel_cols = {}
+    if key not in cache:
+        nb = model.n_b
+        d = np.arange(nb + out_b.size - 1) - (nb - 1)
+        x_d = (out_b[0] - model.b_centers[0]) + d * model.h_b
+        args = np.exp(-model.u_centers)[:, None] * x_d[None, :]  # e^{-u_i} is Delta at row i
+        col = np.floor((args + model.b_half_width) / model.h_b).astype(int)
+        col = np.where((col >= 0) & (col < nb), col, nb)
+        cols = np.full((model.n_u, _next_fast_len(d.size)), nb)
+        cols[:, : d.size] = col[:, ::-1] if reverse else col
+        cols.flags.writeable = False
+        cache[key] = cols
+    return cache[key]
+
+
+def _summed_row_convolutions(model, spec, v2, de, cols, n_rows, terms):
+    """One inverse FFT of a sum of row-wise circular convolutions with phi2
+    rows, at the FFT length nfft = cols.shape[1].
+
+    ``terms`` yields (r, rows, src, dst): phi2 row r, scaled by its
+    Delta^de = e^{-de u_r} and gathered at the columns ``cols[rows]``, gives
+    one kernel row per carrier row in ``rows``; the rfft of each kernel row
+    times the rows ``src`` of the spectrum ``spec`` is added into the rows
+    ``dst`` of the sum.  A phi2 row that is all zero in every function is
+    skipped.  The inverse FFT is linear, so the products are summed in the
+    frequency domain and the call ends in one irfft of its n_rows rows
+    instead of one per phi2 row.  Each gather writes one contiguous block
+    of whole kernel rows, which rfft takes as they are.  A row of a stack
+    is summed on its own, so it gets the values it has alone.
+    """
+    nfft = cols.shape[1]
     nfreq = nfft // 2 + 1
     batch = np.broadcast_shapes(spec.shape[:-2], v2.shape[:-2])
     padded = np.zeros(batch + v2.shape[-2:-1] + (v2.shape[-1] + 1,))
-    padded[..., :-1] = v2
-    kern = np.zeros(batch + (cols.shape[0], nfft))
-    prod = np.empty(batch + (cols.shape[0], nfreq), dtype=complex)
+    if de != 0.0:
+        # each phi2 row is scaled once before its gathers, which give every
+        # kernel entry the product it would get after them
+        dfac = np.array([math.exp(-de * x) for x in model.u_centers.tolist()])
+        np.multiply(v2, dfac[:, None], out=padded[..., :-1])
+    else:
+        padded[..., :-1] = v2
+    live = v2.any(axis=tuple(range(v2.ndim - 2)) + (-1,)).tolist()
+    # flat buffers, so the k kernel rows of every function of a stack are
+    # one contiguous block
+    n = math.prod(batch)
+    kern = np.empty(n * cols.shape[0] * nfft)
+    prod = np.empty(n * cols.shape[0] * nfreq, dtype=complex)
     acc = np.zeros(batch + (n_rows, nfreq), dtype=complex)
-    for r, rows, src, dst, dfac in terms:
-        if not np.any(v2[..., r, :]):
+    for r, rows, src, dst in terms:
+        if not live[r]:
             continue
         k = rows.stop - rows.start
-        row_kern = kern[..., :k, : cols.shape[1]]
+        row_kern = kern[: n * k * nfft].reshape(batch + (k, nfft))
         np.take(padded[..., r, :], cols[rows], axis=-1, out=row_kern, mode="clip")
-        if dfac != 1.0:
-            row_kern *= dfac
-        part = np.fft.rfft(kern[..., :k, :], out=prod[..., :k, :])
+        part = np.fft.rfft(row_kern, out=prod[: n * k * nfreq].reshape(batch + (k, nfreq)))
         part *= spec[..., src, :]
         acc[..., dst, :] += part
     del padded, kern, prod  # the inverse's output takes their place
@@ -476,18 +510,17 @@ def _affine_convolve(model: AffineModel, v1, v2, de, enlarged):
         row_shift = ku  # row m = i + r - ku
     n_rows, n_out = out_u.size, out_b.size
     cols = _affine_kernel_cols(model, out_b)
-    nfft, spec1 = _row_spectrum(v1 * model.weight, nb + cols.shape[1] - 1)
+    spec1 = np.fft.rfft(v1 * model.weight, cols.shape[1])
     batch = v1.shape[:-2]
 
     def terms():
         for r in range(nu):
             lo = max(0, row_shift - r)
             hi = min(nu, n_rows + row_shift - r)
-            dfac = math.exp(-de * u[r]) if de != 0.0 else 1.0
             dst = slice(r + lo - row_shift, r + hi - row_shift)
-            yield r, slice(lo, hi), slice(lo, hi), dst, dfac
+            yield r, slice(lo, hi), slice(lo, hi), dst
 
-    full = _summed_row_convolutions(spec1, v2, cols, n_rows, nfft, terms())
+    full = _summed_row_convolutions(model, spec1, v2, de, cols, n_rows, terms())
     psi = full[..., nb - 1 : nb - 1 + n_out]
     out_mass = (
         np.exp(-out_u)[:, None]
@@ -755,12 +788,11 @@ def _affine_ascent_phi1(model: AffineModel, v2, w: AffineConvolution, de):
     step-sampled phi2 row.
     """
     nu, nb = model.n_u, model.n_b
-    u = model.u_centers
     ku = (nu - 1) // 2
     base = int(round(w.u_points[0] / model.h_u))
     n_out = w.b_centers.size
-    cols = _affine_kernel_cols(model, w.b_centers)
-    nfft, spec_w = _row_spectrum(w.values * w.weight, n_out + cols.shape[1] - 1)
+    cols = _affine_kernel_cols(model, w.b_centers, reverse=True)
+    spec_w = np.fft.rfft(w.values * w.weight, cols.shape[1])
     n_rows = w.values.shape[-2]
 
     def terms():
@@ -770,10 +802,9 @@ def _affine_ascent_phi1(model: AffineModel, v2, w: AffineConvolution, de):
             hi = min(nu, n_rows - shift)
             if lo >= hi:
                 continue
-            dfac = math.exp(-de * u[r]) if de != 0.0 else 1.0
-            yield r, slice(lo, hi), slice(lo + shift, hi + shift), slice(lo, hi), dfac
+            yield r, slice(lo, hi), slice(lo + shift, hi + shift), slice(lo, hi)
 
-    full = _summed_row_convolutions(spec_w, v2, cols[:, ::-1], nu, nfft, terms())
+    full = _summed_row_convolutions(model, spec_w, v2, de, cols, nu, terms())
     return full[..., n_out - 1 : n_out - 1 + nb]
 
 
@@ -796,7 +827,8 @@ def _affine_ascent_phi2(model: AffineModel, v1, w: AffineConvolution, de):
     n_rows = w.values.shape[-2]
     v1w = v1 * model.weight
     full = n_w + nb - 1
-    nfft, spec_w = _row_spectrum(w.values, full)
+    nfft = _next_fast_len(full)
+    spec_w = np.fft.rfft(w.values, nfft)
     spec1 = np.fft.rfft(v1w[..., ::-1], nfft)
     # flat index of e^{u_i} b_c inside the correlation buffer, row i of
     # which holds the inverse for carrier row i; samples outside the

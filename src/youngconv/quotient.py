@@ -265,8 +265,14 @@ def left_invariance_check(pair, phi: GroupFunction, h_element) -> float:
 def corrupt_delta(pair, factor=1.1):
     """Deterministically corrupted copy of a pair (negative-control tests).
 
-    The factor multiplies delta on half the carrier, chosen so that the
-    corruption is not constant on cosets and must break the invariances.
+    The factor multiplies delta on part of the carrier, chosen so that the
+    corruption is not constant on cosets and must break the invariances:
+    every other element of a finite group, and on the affine grid the cells
+    on or above the diagonal b = u.  That half-plane cuts each u row (the
+    translation cosets) and each ray b = c e^u (the dilation cosets), so
+    delta changes along both; a quadrant such as u >= 0, b >= 0 holds the
+    row u = 0 and its dilates at once and leaves the dilation invariance
+    intact.
     """
     import copy
 
@@ -275,6 +281,6 @@ def corrupt_delta(pair, factor=1.1):
     if isinstance(pair, FiniteSubgroupPair):
         bad.delta[::2] *= factor
     else:
-        half = pair.group.n_b // 2
-        bad.delta[:, half:] *= factor
+        m = pair.group
+        bad.delta[m.b_centers[None, :] >= m.u_centers[:, None]] *= factor
     return bad

@@ -582,6 +582,30 @@ def test_norm_of_a_stack_row_equals_the_lone_norm(rows):
             assert norms.tolist() == [result(v).lp_norm(pf) for v in stack]
 
 
+@pytest.mark.parametrize("batch", [(), (1,), (16,)])
+def test_line_convolution_and_dual_power_bit_equal_to_reference_expressions(batch):
+    # the real line convolves into its knot array and scales it in place, and
+    # dual_power raises its magnitudes in place; both as first written:
+    # a full np.convolve per row, times h into the zero-ended knots, and
+    # np.abs(values) ** exponent
+    rng = np.random.default_rng(18)
+    for model in (make_real_line(0.5, 0.5), make_real_line(0.25, 2.0), make_real_line(0.05, 4.0)):
+        n = model.size
+        v1 = rng.standard_normal(batch + (n,)) * 10.0 ** rng.uniform(-5.0, 5.0, batch + (n,))
+        v2 = rng.random(batch + (n,))
+        psi = _convolve(model, v1, v2, 0.0)
+        rows = [np.convolve(x, y) for x, y in zip(v1.reshape(-1, n), v2.reshape(-1, n))]
+        want = np.zeros(batch + (2 * n + 1,))
+        want[..., 1:-1] = model.h * np.array(rows).reshape(batch + (2 * n - 1,))
+        assert np.array_equal(psi.values, want)
+        for exponent in (1.0 / 3.0, 0.25, 1.0, 2.0, 3.5):
+            assert np.array_equal(psi.dual_power(exponent).values, np.abs(psi.values) ** exponent)
+    aff = make_affine_group(0.25, 1.0, 0.25, 2.0)
+    psi = _convolve(aff, rng.random(batch + aff.shape), rng.standard_normal(batch + aff.shape), 0.4)
+    for exponent in (1.0 / 3.0, 3.5):
+        assert np.array_equal(psi.dual_power(exponent).values, np.abs(psi.values) ** exponent)
+
+
 def _smallest_grids():
     line, torus, plane = make_real_line(0.5, 0.5), make_torus(2), make_plane(0.5, 0.5)
     h = line.h  # every grid here has cells of width 1/2
@@ -625,9 +649,10 @@ def test_estimate_on_the_smallest_grids(selector, upper):
 
 
 # Row-loop oracles: the affine kernels as first written, with one inverse
-# FFT per phi2 row (forward, A*) or per output row (B*).  The kernels now
-# sum the forward and A* rows in the frequency domain before one inverse,
-# which moves the last bits; B* must agree exactly.
+# FFT per phi2 row (forward, A*) or per output row (B*), each at the full
+# linear length.  The kernels now sum the forward and A* rows in the
+# frequency domain before one inverse, at the kernel width instead of the
+# full length, which moves the last bits; B* must agree exactly.
 
 
 def _ref_kernel_cols(model, out_b):
@@ -765,6 +790,64 @@ def test_affine_row_sums_match_per_row_reference(model):
                     )
                     assert np.array_equal(ascent_direction_phi1(model, v2[s], w_s, de), a_star[s])
                     assert np.array_equal(ascent_direction_phi2(model, v1[s], w_s, de), b_star[s])
+
+
+# Double-sum oracle: the affine convolution and A* straight from the group
+# law, with no FFT.  The forward and A* transform at the least fast length
+# N >= W, the kernel width, which leaves only the W-wide window they read
+# free of aliasing.  Every grid here has N = W in the loop.  On all but
+# the U = 0.2 grid some kernel rows are nonzero at their ends, so a length
+# one short would alias; there both ends fall outside the carrier
+# (e^-0.2 * 1.75 > B = 1) and it would not.  The b offset of a carrier
+# cell to an output point is formed as the kernels form it,
+# (out_b[0] - b_0) + (o - j) h_b, so a point on a cell edge snaps to the
+# same cell.
+
+
+def _double_sum_kernel(model, v2, de, out_u, out_b):
+    """K[..., i, j, m, o]: phi2 Delta^de at g^-1 g' for the carrier cell
+    g = (u_i, b_j) and the output point g' = (out_u[m], out_b[o]), where
+    g^-1 g' = (u' - u_i, e^{-u_i} (b' - b_j)); 0 off the grid."""
+    nu, nb = model.n_u, model.n_b
+    ku = (nu - 1) // 2
+    scale = np.exp(-model.u_centers)
+    kern = np.zeros(v2.shape[:-2] + (nu, nb, out_u.size, out_b.size))
+    for i in range(nu):
+        for m in range(out_u.size):
+            r = int(round((out_u[m] - model.u_centers[i]) / model.h_u)) + ku
+            if not 0 <= r < nu:
+                continue
+            dfac = math.exp(-de * model.u_centers[r])
+            for j in range(nb):
+                x = (out_b[0] - model.b_centers[0]) + (np.arange(out_b.size) - j) * model.h_b
+                col = np.floor((scale[i] * x + model.b_half_width) / model.h_b).astype(int)
+                ok = (col >= 0) & (col < nb)
+                kern[..., i, j, m, ok] = v2[..., r, col[ok]] * dfac
+    return kern
+
+
+@pytest.mark.parametrize("model", [
+    make_affine_group(0.5, 0.5, 1.0, 1.0),  # 3 x 2 cells, W = N = 3
+    make_affine_group(1.0, 1.0, 0.25, 0.25),  # 3 x 2 cells, W = N = 3 and 9
+    make_affine_group(0.1, 0.2, 0.25, 1.0),  # W = N = 15 and 25
+    make_affine_group(0.25, 1.0, 0.25, 1.0),  # W = N = 15; enlarged W = 37, N = 40
+], ids=lambda m: m.name)
+def test_affine_convolution_and_a_star_match_double_sum(model):
+    rng = np.random.default_rng(17)
+    for batch in [(), (2,)]:
+        v1, v2 = rng.random(batch + model.shape), rng.random(batch + model.shape)
+        for de in (0.0, 0.4):
+            for enlarged in (True, False):
+                psi = _convolve(model, v1, v2, de, enlarged)
+                kern = _double_sum_kernel(model, v2, de, psi.u_points, psi.b_centers)
+                _assert_close_to_reference(
+                    psi.values, np.einsum("...ij,...ijmo->...mo", model.weight * v1, kern)
+                )
+                w = _random_dual(psi, rng)
+                _assert_close_to_reference(
+                    ascent_direction_phi1(model, v2, w, de),
+                    np.einsum("...mo,...ijmo->...ij", w.weight * w.values, kern),
+                )
 
 
 def _ref_centered_integrals(values, h, axis=-1):

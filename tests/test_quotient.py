@@ -139,7 +139,8 @@ def test_corrupted_delta_detected():
     tpair = corrupt_delta(build_subgroup_pair(aff, "translations"))
     phi = GroupFunction(aff, _bump(aff))
     assert weil_decompose_check(tpair, phi) > 0.05
-    # beta < 0 moves the comparison point into the uncorrupted half
+    # the corruption covers b >= u: beta < 0 moves the comparison point off
+    # it on the rows -0.15 < u <= 0
     assert left_invariance_check(tpair, phi, -0.15) > 0.05
 
 

@@ -45,6 +45,26 @@ def test_verify_layer_matches_golden_file(corrupt):
             assert got.worst == pytest.approx(exp["worst_residual"], rel=AFFINE_RTOL, abs=0)
 
 
+QUOTIENT_AND_CHAIN_ITEMS = {
+    "weil-finite",
+    "weil-affine-translations",
+    "weil-affine-dilations",
+    "invariance-affine-translations",
+    "invariance-affine-dilations",
+    "chain-identities",
+    "chain-inequalities",
+}
+
+
+def test_corrupt_delta_fails_every_quotient_and_chain_item():
+    # the negative control reaches each item that reads delta, and only those
+    items, ok = run_battery(seeds=1, proof_seeds=1, with_estimates=False, corrupt="delta")
+    assert not ok
+    assert {i.name for i in items if not i.passed} == QUOTIENT_AND_CHAIN_ITEMS
+    items, ok = run_battery(seeds=1, proof_seeds=1, with_estimates=False)
+    assert ok
+
+
 def test_block_draw_equals_one_draw_per_seed():
     for _, pair in _finite_pairs():
         shape = pair.group.shape
