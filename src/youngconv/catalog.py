@@ -67,6 +67,11 @@ class LieGroupDescriptor:
         return bool(self.flags[name])
 
 
+def _y_r_power(desc: LieGroupDescriptor, ex: YoungExponents) -> float:
+    """Y(R)^(dim - r), and exactly 1 when dim <= r."""
+    return beckner_Y_Rn(ex.p1, ex.p2, 1) ** max(desc.dim - desc.r, 0)
+
+
 def max_compact_bound(desc: LieGroupDescriptor, ex: YoungExponents) -> float:
     """Upper bound Y(R)^(dim - r) from the maximal compact dimension.
 
@@ -74,12 +79,9 @@ def max_compact_bound(desc: LieGroupDescriptor, ex: YoungExponents) -> float:
     """
     if not desc.flag("in_class_A"):
         raise ValueError(f"{desc.name} is not in class A; bound not applicable")
-    gap = desc.dim - desc.r
-    if gap < 0:
+    if desc.r > desc.dim:
         raise ValueError(f"{desc.name}: r exceeds dim")
-    if gap == 0:
-        return 1.0
-    return beckner_Y_Rn(ex.p1, ex.p2, 1) ** gap
+    return _y_r_power(desc, ex)
 
 
 def nielsen_exact(desc: LieGroupDescriptor, ex: YoungExponents):
@@ -95,8 +97,7 @@ def nielsen_exact(desc: LieGroupDescriptor, ex: YoungExponents):
     if rule == "compact_one":
         return 1.0
     if rule in ("nielsen_power", "beckner_rn"):
-        gap = desc.dim - desc.r
-        return beckner_Y_Rn(ex.p1, ex.p2, 1) ** gap if gap > 0 else 1.0
+        return _y_r_power(desc, ex)
     return None
 
 
@@ -174,7 +175,9 @@ def catalog_consistency_check(catalog, ex: YoungExponents = None) -> CatalogRepo
     return report
 
 
-def _descriptor_from_dict(obj: dict) -> LieGroupDescriptor:
+def _descriptor_from_dict(obj) -> LieGroupDescriptor:
+    if not isinstance(obj, dict):
+        raise ValueError(f"catalog entry {obj!r} is not an object")
     allowed = {"name", "dim", "r", "flags", "links", "exact_value_rule"}
     extra = set(obj) - allowed
     if extra:
@@ -182,14 +185,22 @@ def _descriptor_from_dict(obj: dict) -> LieGroupDescriptor:
     for key in ("name", "dim", "r", "flags"):
         if key not in obj:
             raise ValueError(f"descriptor missing required field {key!r}")
+    name = obj["name"]
+    # JSON integers only: int() would raise TypeError on null and truncate 1.5
+    if not all(type(obj[key]) is int for key in ("dim", "r")):
+        raise ValueError(f"{name}: dim and r must be integers")
+    if not isinstance(obj["flags"], dict):
+        raise ValueError(f"{name}: flags must be an object")
     links = obj.get("links", [])
-    if not all(isinstance(l, (list, tuple)) and len(l) == 2 for l in links):
-        raise ValueError(f"{obj['name']}: links must be (subgroup, quotient) pairs")
+    if not isinstance(links, list) or not all(
+        isinstance(l, list) and len(l) == 2 for l in links
+    ):
+        raise ValueError(f"{name}: links must be (subgroup, quotient) pairs")
     return LieGroupDescriptor(
-        name=str(obj["name"]),
-        dim=int(obj["dim"]),
-        r=int(obj["r"]),
-        flags=dict(obj["flags"]),
+        name=str(name),
+        dim=obj["dim"],
+        r=obj["r"],
+        flags=obj["flags"],
         links=tuple((h, q) for h, q in links),
         exact_value_rule=obj.get("exact_value_rule", "none"),
     )

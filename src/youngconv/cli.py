@@ -5,10 +5,13 @@ Subcommands: ``exact`` (closed-form constants and catalog bounds),
 ``verify`` (the property battery), ``catalog`` (consistency report), and
 ``report`` (re-render a saved estimate report).
 
-Exit codes: 0 success; 2 invalid exponents; 3 unknown catalog name;
-4 model construction failure; 5 verification failure.  Every numeric that
-text mode prints is also present in the JSON output, and identical command
-lines with identical seeds produce byte-identical JSON.
+Exit codes: 0 success; 2 invalid exponents or options; 3 unknown catalog
+name; 4 bad input (a selector that is unknown, has unknown, repeated or
+surplus parameters, or cannot be built; an unreadable or malformed
+``--catalog``, ``--input`` or ``Table:`` file; an unwritable ``--out`` or
+``--csv``); 5 verification failure.  Every numeric that text mode prints
+is also present in the JSON output, and identical command lines with
+identical seeds produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import math
 import sys
 
 from .catalog import (
-    builtin_catalog,
     catalog_consistency_check,
     load_catalog,
     max_compact_bound,
@@ -52,24 +54,18 @@ EXIT_VERIFY_FAILED = 5
 def _int_at_least(low):
     """argparse type for an integer option that must be at least ``low``."""
 
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    def integer(text):
+        value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
-    return parse
+    return integer
 
 
-def _tolerance(text):
+def tolerance(text):
     """argparse type for a finite, nonnegative float."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    value = float(text)
     if not math.isfinite(value) or value < 0:
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
@@ -88,18 +84,17 @@ def _emit(payload: dict, args, text_lines):
             print(line)
 
 
-def _parse_triple(args):
-    try:
-        return young_p(args.p1, args.p2)
-    except ExponentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_EXPONENTS)
+def _write_csv(path, rows):
+    """Write dict rows as an RFC 4180 table headed by the first row's keys."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def cmd_exact(args) -> int:
-    ex = _parse_triple(args)
-    catalog = load_catalog(args.catalog) if args.catalog else builtin_catalog()
-    by_name = {d.name: d for d in catalog}
+    ex = young_p(args.p1, args.p2)
+    by_name = {d.name: d for d in load_catalog(args.catalog)}
     y_r = beckner_Y_Rn(ex.p1, ex.p2, 1)
     payload = {
         "p1": str(ex.p1),
@@ -139,56 +134,53 @@ def cmd_exact(args) -> int:
     return EXIT_OK
 
 
+# Group selectors NAME:PARAMS, NAME in any case.  Each entry gives the
+# builder, the type and names of its parameters in order, their defaults,
+# and aliases: an alias sets each listed parameter that is not given itself.
+SELECTORS = {
+    "Zmod": (cyclic_group, int, ("n",), {}, {}),
+    "AffF": (affine_prime_field, int, ("q",), {}, {}),
+    "Torus": (make_torus, int, ("n",), {}, {}),
+    "Zwindow": (make_integer_line, int, ("L",), {}, {}),
+    "Rline": (make_real_line, float, ("h", "L"), {}, {}),
+    "Plane": (make_plane, float, ("h", "L"), {}, {}),
+    "R2": (make_plane, float, ("h", "L"), {}, {}),
+    "Affine": (make_affine_group, float, ("hu", "U", "hb", "B"),
+               {"hu": 0.05, "hb": 0.05}, {"h": ("hu", "hb")}),
+    "Table": (load_group_table, str, ("path",), {}, {}),
+}
+
+
 def _build_model(selector: str):
     """Parse a group selector like Rline:h=0.05,L=8 into a model."""
-    if ":" not in selector:
-        raise GroupModelError(f"selector {selector!r} needs the form name:params")
-    name, _, params = selector.partition(":")
-    name = name.lower()
-    kv = {}
-    plain = []
-    for tok in params.split(","):
-        if not tok:
-            continue
-        if "=" in tok:
-            key, _, val = tok.partition("=")
-            kv[key.strip()] = val.strip()
-        else:
-            plain.append(tok.strip())
-    if name == "zmod":
-        return cyclic_group(int(plain[0] if plain else kv["n"]))
-    if name == "afff":
-        return affine_prime_field(int(plain[0] if plain else kv["q"]))
-    if name == "torus":
-        return make_torus(int(plain[0] if plain else kv["n"]))
-    if name == "zwindow":
-        return make_integer_line(int(plain[0] if plain else kv["L"]))
-    if name == "rline":
-        return make_real_line(float(kv["h"]), float(kv["L"]))
-    if name in ("plane", "r2"):
-        return make_plane(float(kv["h"]), float(kv["L"]))
-    if name == "affine":
-        return make_affine_group(
-            float(kv.get("hu", kv.get("h", 0.05))),
-            float(kv["U"]),
-            float(kv.get("hb", kv.get("h", 0.05))),
-            float(kv["B"]),
-        )
-    if name == "table":
-        return load_group_table(plain[0] if plain else kv["path"])
-    raise GroupModelError(f"unknown group selector {name!r}")
+    name, colon, text = selector.partition(":")
+    canonical = {key.lower(): key for key in SELECTORS}.get(name.lower())
+    if not colon or canonical is None:
+        raise GroupModelError(f"expected NAME:PARAMS, NAME one of {', '.join(SELECTORS)}")
+    build, kind, keys, defaults, aliases = SELECTORS[canonical]
+    given = {}
+    bare = iter(keys)
+    for token in filter(None, text.split(",")):
+        key, eq, value = token.partition("=")
+        key, value = (key.strip(), value) if eq else (next(bare, None), token)
+        if key in given or key not in (*keys, *aliases):
+            raise GroupModelError(
+                f"{token.strip()!r}: {canonical} takes each of "
+                f"{', '.join((*keys, *aliases))} at most once"
+            )
+        given[key] = value.strip()
+    for alias, targets in aliases.items():
+        if alias in given:
+            given.update({t: given[alias] for t in targets if t not in given})
+    missing = [key for key in keys if key not in given and key not in defaults]
+    if missing:
+        raise GroupModelError(f"{canonical} needs {', '.join(missing)}")
+    return build(*(kind(given[key]) if key in given else defaults[key] for key in keys))
 
 
 def cmd_estimate(args) -> int:
-    ex = _parse_triple(args)
-    try:
-        model = _build_model(args.group)
-    except (
-        GroupModelError, KeyError, ValueError, IndexError, OSError, MemoryError,
-        OverflowError,
-    ) as exc:
-        print(f"error: cannot build model from {args.group!r}: {exc}", file=sys.stderr)
-        return EXIT_BAD_MODEL
+    ex = young_p(args.p1, args.p2)
+    model = _build_model(args.group)
     if ex.boundary:
         payload = {
             "group": model.name,
@@ -216,57 +208,43 @@ def cmd_estimate(args) -> int:
         lines.append("warning: at least one restart hit the iteration cap")
     _emit(payload, args, lines)
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(
-                handle, fieldnames=["restart", "final_ratio", "iterations", "converged"]
-            )
-            writer.writeheader()
-            writer.writerows(report.restart_rows())
+        _write_csv(args.csv, report.restart_rows())
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     if args.proof_chain:
+        key = "proof_chain"
         rows, ok = proof_chain_table(seeds=args.seeds, corrupt=args.corrupt)
-        payload = {"proof_chain": rows, "passed": ok}
         lines = [
             f"{r['pair']:24s} ({r['p1']},{r['p2']}) {r['step']:28s} "
             f"{r['worst_residual']:.3e} {'ok' if r['passed'] else 'FAIL'}"
             for r in rows
         ]
-        _emit(payload, args, lines)
-        if args.csv:
-            with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-                writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
-                writer.writeheader()
-                writer.writerows(rows)
-        if not ok:
-            first = next(r for r in rows if not r["passed"])
-            print(f"verify failed at: {first['step']} on {first['pair']}", file=sys.stderr)
-            return EXIT_VERIFY_FAILED
-        return EXIT_OK
-    items, ok = run_battery(
-        seeds=args.seeds,
-        proof_seeds=max(2, args.seeds),
-        corrupt=args.corrupt,
-        with_estimates=not args.no_estimates,
-    )
-    payload = {"battery": [i.as_dict() for i in items], "passed": ok}
-    _emit(payload, args, [str(i) for i in items])
+        failed = [f"{r['step']} on {r['pair']}" for r in rows if not r["passed"]]
+    else:
+        key = "battery"
+        items, ok = run_battery(
+            seeds=args.seeds,
+            proof_seeds=max(2, args.seeds),
+            corrupt=args.corrupt,
+            with_estimates=not args.no_estimates,
+        )
+        rows = [i.as_dict() for i in items]
+        lines = [str(i) for i in items]
+        failed = [i.name for i in items if not i.passed]
+    _emit({key: rows, "passed": ok}, args, lines)
+    if args.csv:
+        _write_csv(args.csv, rows)
     if not ok:
-        first = next(i for i in items if not i.passed)
-        print(f"verify failed at: {first.name}", file=sys.stderr)
+        print(f"verify failed at: {failed[0]}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     return EXIT_OK
 
 
 def cmd_catalog(args) -> int:
-    try:
-        catalog = load_catalog(args.catalog) if args.catalog else builtin_catalog()
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_MODEL
-    ex = _parse_triple(args)
+    ex = young_p(args.p1, args.p2)
+    catalog = load_catalog(args.catalog)
     report = catalog_consistency_check(catalog, ex)
     entries = []
     lines = []
@@ -309,33 +287,25 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read report: {exc}", file=sys.stderr)
-        return EXIT_BAD_MODEL
-    try:
-        lines = [
-            f"group: {payload['group']}",
-            f"exponents: p1={payload['exponents']['p1']} p2={payload['exponents']['p2']} "
-            f"p={payload['exponents']['p']}",
-            f"lower bound: {payload['lower_bound']:.6f}",
-            f"restarts: {payload['restarts']}  best: {payload['best_restart']}  "
-            f"converged: {payload['converged']}",
-            f"truncation mass: {payload['truncation_mass']:.3e}",
-            "upper references: "
-            + ", ".join(
-                f"{r['source']}={r['value']:.6f}" for r in payload["upper_bound_refs"]
-            ),
-        ]
-        rows = [
-            [idx, trace[-1] if trace else math.nan]
-            for idx, trace in enumerate(payload.get("ratio_trace", []))
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: not an estimate report: {exc!r}", file=sys.stderr)
-        return EXIT_BAD_MODEL
+    with open(args.input, "r", encoding="utf-8") as handle:
+        payload = json.load(handle)
+    lines = [
+        f"group: {payload['group']}",
+        f"exponents: p1={payload['exponents']['p1']} p2={payload['exponents']['p2']} "
+        f"p={payload['exponents']['p']}",
+        f"lower bound: {payload['lower_bound']:.6f}",
+        f"restarts: {payload['restarts']}  best: {payload['best_restart']}  "
+        f"converged: {payload['converged']}",
+        f"truncation mass: {payload['truncation_mass']:.3e}",
+        "upper references: "
+        + ", ".join(
+            f"{r['source']}={r['value']:.6f}" for r in payload["upper_bound_refs"]
+        ),
+    ]
+    rows = [
+        [idx, trace[-1] if trace else math.nan]
+        for idx, trace in enumerate(payload.get("ratio_trace", []))
+    ]
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["restart", "final_ratio"])
@@ -366,21 +336,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--group", help="catalog name (e.g. R, affine_R, sl2_R)")
     p_exact.add_argument("--catalog", help="catalog JSON file (default: shipped)")
     add_common(p_exact)
-    p_exact.set_defaults(func=cmd_exact)
+    p_exact.set_defaults(func=cmd_exact, source="catalog")
 
     p_est = sub.add_parser("estimate", help="lower-bound estimation on a model")
-    p_est.add_argument("--group", required=True, help="Zmod:8 | AffF:5 | Torus:16 | "
-                       "Zwindow:40 | Rline:h=0.05,L=8 | Plane:h=0.2,L=4 | "
-                       "Affine:hu=0.05,U=1.5,hb=0.05,B=3 | Table:file.json")
+    forms = " | ".join(
+        f"{name}:" + ",".join(f"{k}={defaults[k]}" if k in defaults else k for k in keys)
+        + "".join(f" ({alias}= sets {'+'.join(to)})" for alias, to in aliases.items())
+        for name, (_, _, keys, defaults, aliases) in SELECTORS.items()
+    )
+    p_est.add_argument("--group", required=True, help="NAME:PARAMS, PARAMS as "
+                       f"key=value or as bare values in order: {forms}")
     p_est.add_argument("--p1", required=True)
     p_est.add_argument("--p2", required=True)
     p_est.add_argument("--restarts", type=_int_at_least(1), default=16)
     p_est.add_argument("--iters", type=_int_at_least(0), default=500)
-    p_est.add_argument("--tol", type=_tolerance, default=1e-9)
+    p_est.add_argument("--tol", type=tolerance, default=1e-9)
     p_est.add_argument("--seed", type=_int_at_least(0), default=42)
     p_est.add_argument("--csv", help="write one row per restart here")
     add_common(p_est)
-    p_est.set_defaults(func=cmd_estimate)
+    p_est.set_defaults(func=cmd_estimate, source="group")
 
     p_ver = sub.add_parser("verify", help="run the property battery")
     p_ver.add_argument("--seeds", type=_int_at_least(1), default=5)
@@ -389,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--corrupt", choices=["delta"], help="negative control")
     p_ver.add_argument("--no-estimates", action="store_true",
                        help="skip the (slower) monotonicity audit")
-    p_ver.add_argument("--csv", help="write the residual table here (proof-chain mode)")
+    p_ver.add_argument("--csv", help="write the battery or proof-chain table here")
     add_common(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
@@ -398,20 +372,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_cat.add_argument("--p1", default="4/3")
     p_cat.add_argument("--p2", default="4/3")
     add_common(p_cat)
-    p_cat.set_defaults(func=cmd_catalog)
+    p_cat.set_defaults(func=cmd_catalog, source="catalog")
 
     p_rep = sub.add_parser("report", help="re-render a saved estimate report")
     p_rep.add_argument("--input", required=True)
     p_rep.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p_rep.add_argument("--out", help=argparse.SUPPRESS)
-    p_rep.set_defaults(func=cmd_report)
+    p_rep.set_defaults(func=cmd_report, source="input")
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ExponentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_EXPONENTS
+    except (ValueError, LookupError, TypeError, OSError, MemoryError, OverflowError) as exc:
+        # bad input (GroupModelError and the catalog loader's refusals are
+        # ValueErrors); an OSError names its file, other errors the command's input
+        source = getattr(args, "source", None)
+        value = None if isinstance(exc, OSError) else vars(args).get(source)
+        where = f"--{source} {value!r}: " if value else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
+        return EXIT_BAD_MODEL
 
 
 if __name__ == "__main__":

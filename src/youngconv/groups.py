@@ -66,9 +66,6 @@ class GroupModel:
     def total_mass(self) -> float:
         return float(self.weight.sum())
 
-    def function(self, values) -> "GroupFunction":
-        return GroupFunction(self, values)
-
     def invert(self, values):
         """phi(g^-1) on the carrier; inversion reverses every axis."""
         return np.flip(values)
@@ -140,11 +137,14 @@ def _validate_group_table(table, name):
     if table.min() < 0 or table.max() >= n:
         raise GroupModelError(f"{name}: table entries outside 0..{n - 1}")
     _find_identity(table)
-    # associativity, fully vectorized: (ij)k == i(jk) for all triples
-    left = table[table, :]
-    right = table[:, table]
-    if not np.array_equal(left, right):
-        raise GroupModelError(f"{name}: table is not associative")
+    # associativity (ij)k == i(jk) for all triples, gathered over blocks of
+    # rows i of at most 2^18 elements (or one row), so memory stays O(n^2);
+    # a table of n <= 64 takes one block
+    rows = max(1, 2**18 // (n * n))
+    for start in range(0, n, rows):
+        block = table[start:start + rows]
+        if not np.array_equal(table[block, :], block[:, table]):
+            raise GroupModelError(f"{name}: table is not associative")
     return n
 
 
@@ -204,9 +204,7 @@ def affine_prime_field(q: int) -> FiniteGroup:
     prod_a = (a1 * a2) % q
     prod_b = (a1 * b2 + b1) % q
     table = (prod_a - 1) * q + prod_b
-    model = FiniteGroup(table, name=f"Aff(F{q})")
-    model.coords = np.stack([a, b], axis=1)
-    return model
+    return FiniteGroup(table, name=f"Aff(F{q})")
 
 
 def load_group_table(path) -> FiniteGroup:
@@ -226,10 +224,10 @@ def load_group_table(path) -> FiniteGroup:
 
 
 def _cell_count(half_width, h, name):
-    if h <= 0:
-        raise GroupModelError(f"{name}: cell width must be positive, got {h}")
-    if half_width <= 0:
-        raise GroupModelError(f"{name}: window must be positive, got {half_width}")
+    if not 0 < h < math.inf:
+        raise GroupModelError(f"{name}: cell width must be positive and finite, got {h}")
+    if not 0 < half_width < math.inf:
+        raise GroupModelError(f"{name}: window must be positive and finite, got {half_width}")
     k = half_width / h
     if abs(k - round(k)) > 1e-9:
         raise GroupModelError(

@@ -137,3 +137,24 @@ def test_duplicate_names_rejected(tmp_path):
     path.write_text(json.dumps([entry, entry]))
     with pytest.raises(ValueError, match="duplicate"):
         load_catalog(path)
+
+
+@pytest.mark.parametrize(
+    "raw, named",
+    [
+        ([5], "catalog entry 5"),
+        ([{"name": "thing", "dim": 1, "r": 0, "flags": 5}], "thing"),
+        ([{"name": "thing", "dim": 1, "r": 0, "flags": _flags(), "links": 5}], "thing"),
+        ([{"name": "thing", "dim": None, "r": 0, "flags": _flags()}], "thing"),
+        ([{"name": "thing", "dim": 1.5, "r": 0, "flags": _flags()}], "thing"),
+        ([{"name": "thing", "dim": 1, "r": True, "flags": _flags()}], "thing"),
+    ],
+)
+def test_load_refuses_malformed_entries_with_value_error(tmp_path, raw, named):
+    # these raised TypeError (or truncated 1.5 to 1) before the loader
+    # checked the type of each field
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=named) as info:
+        load_catalog(path)
+    assert type(info.value) is ValueError

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,12 +60,30 @@ def test_finite_product_is_group():
 def test_malformed_tables_rejected():
     with pytest.raises(GroupModelError):  # not associative
         make_finite_group([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+    # associativity is checked in blocks of rows from n = 65 on; Z/70 with two
+    # entries of its last row swapped has an identity but is not a group
+    table = cyclic_group(70).table.copy()
+    table[69, [1, 2]] = table[69, [2, 1]]
+    with pytest.raises(GroupModelError, match="not associative"):
+        make_finite_group(table)
     with pytest.raises(GroupModelError):  # no identity
         make_finite_group([[1, 1], [1, 1]])
     with pytest.raises(GroupModelError):  # out of range entries
         make_finite_group([[0, 1], [1, 5]])
     with pytest.raises(GroupModelError):
         make_finite_group(np.zeros((2, 3), dtype=int))
+
+
+def test_group_table_check_memory_is_quadratic():
+    # the associativity check gathers blocks of rows: the whole (n, n, n)
+    # gather of Z/200 once peaked at 136 MB, and Z/1000 would ask for 17 GB
+    tracemalloc.start()
+    try:
+        cyclic_group(200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_left_translation_permutes_and_preserves_sums():
@@ -86,6 +105,18 @@ def test_real_line_grid():
     for bad in [(0.0, 1.0), (-0.1, 1.0), (0.3, 1.0)]:
         with pytest.raises(GroupModelError):
             make_real_line(*bad)
+    # a non-finite cell width or window is refused before any grid is formed
+    # (an infinite width once gave an empty carrier, or NaN cell centers)
+    inf, nan = math.inf, math.nan
+    for make, args in [
+        (make_real_line, (inf, 1.0)), (make_real_line, (nan, 1.0)),
+        (make_real_line, (0.5, inf)), (make_real_line, (0.5, nan)),
+        (make_plane, (inf, 1.0)), (make_plane, (0.5, inf)),
+        (make_affine_group, (inf, 1.0, 0.5, 1.0)), (make_affine_group, (0.5, 1.0, inf, 1.0)),
+        (make_affine_group, (0.5, inf, 0.5, 1.0)), (make_affine_group, (0.5, 1.0, 0.5, nan)),
+    ]:
+        with pytest.raises(GroupModelError, match="finite"):
+            make(*args)
 
 
 def test_torus_and_integer_line():
