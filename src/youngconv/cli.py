@@ -190,6 +190,8 @@ def cmd_estimate(args) -> int:
             "boundary_value": 1.0,
         }
         _emit(payload, args, [f"{model.name}: boundary triple, optimal constant 1"])
+        if args.csv:
+            _write_csv(args.csv, [payload])
         return EXIT_OK
     cfg = EstimatorConfig(
         restarts=args.restarts, max_iters=args.iters, tol=args.tol, seed=args.seed

@@ -6,14 +6,18 @@ groups; the Delta power is skipped exactly when p1 = 1 (exponent 0).
 
 On the abelian step grids the convolution of two step functions is
 evaluated exactly as a piecewise-(bi)linear function, and Lp norms of those
-results use fixed 8-node Gauss-Legendre quadrature per knot interval.
-Cell-sampled convolution would make point masses saturate the ratio at 1
-and destroy convergence of the lower bounds, so it is never used there.
-The Gauss sums run with the nodes outermost: the values at one node (one
-node pair on the plane) are formed, raised to p and summed over every cell
-as one long row, and the node sums are weighted last.  They agree with the
-per-cell order to about 1e-15 relative, and a row of a stack gets bit for
-bit the norm of the same function alone.
+results use Gauss-Legendre quadrature per knot interval: 8 nodes, or, for
+an integer p <= 15, floor(p/2) + 1 nodes (2 at p = 2; node pairs on the
+plane).  On a knot interval |f|^p is then a polynomial of degree p in each
+coordinate, which that short rule integrates exactly, as the 8-node rule
+does, so the two agree to rounding.  Cell-sampled convolution would make
+point masses saturate the ratio at 1 and destroy convergence of the lower
+bounds, so it is never used there.  The Gauss sums run with the nodes
+outermost: the values at one node (one node pair on the plane) are formed,
+raised to p and summed over every cell as one long row, and the node sums
+are weighted last.  They agree with the per-cell order to about 1e-15
+relative, and a row of a stack gets bit for bit the norm of the same
+function alone.
 
 On the affine grid the convolution is a direct double sum over cells; the
 group is non-abelian so there is no FFT shortcut, but for each pair of
@@ -26,9 +30,20 @@ sum of per-row inverses to about 1e-15 relative.  Each reads only the
 central window of its row convolutions, as wide as the kernel (W columns),
 so they transform at the least fast length >= W: a circular convolution
 that long aliases only outside the window, and it is shorter than the
-full linear length by the carrier width.  B* samples each inverse at
-dilated positions across the whole correlation, so it keeps the full
-length and one inverse per output row.
+full linear length by the carrier width.  A* is a correlation with the
+forward's own kernel rows, so it multiplies their spectra by the conjugate
+of the dual's spectrum and reads the lags below n_b, which do not wrap.
+B* samples each inverse at dilated positions across the whole
+correlation, so it keeps the full length and one inverse per output row.
+
+The kernel rows depend on phi2 alone, and the estimator's loop convolves
+with one phi2 many times: the forward and A* on the carrier window take
+the kernel spectra of phi2 (``spectra``: stack row x kernel row x
+frequency) and either write them as they form them (``fill``) or read
+them in place of their gather and rfft.  That is sum_r (n_u - |r - U/h_u|)
+kernel rows of about n_b complex bins per function, 5.4 MB on the 61 x 120
+criterion-6 grid, growing as n_u^2 n_b.  Only the estimator keeps them,
+for the length of an ascent.
 
 Every kernel, adjoint and norm also takes a stack of functions: leading
 axes in front of the model's own (numpy ``...`` style), reduced only over
@@ -40,6 +55,7 @@ batched form.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 
@@ -57,10 +73,23 @@ from .groups import (
     TorusModel,
 )
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_T01 = 0.5 * (_GL_NODES + 1.0)
-_W01 = 0.5 * _GL_WEIGHTS
-_W01_2D = np.outer(_W01, _W01).reshape(-1)  # weight of node pair (t, s) at 8t + s
+
+@functools.cache
+def _gauss_01(q):
+    """The q-node Gauss-Legendre nodes and weights on [0, 1], and the
+    weight of each node pair (t, s) of the product rule, at q t + s."""
+    nodes, weights = np.polynomial.legendre.leggauss(q)
+    w01 = 0.5 * weights
+    return 0.5 * (nodes + 1.0), w01, np.outer(w01, w01).reshape(-1)
+
+
+_T01, _W01 = _gauss_01(8)[:2]  # the 8-node rule
+
+
+def _gauss_rule(pf):
+    """The Gauss rule of the PWL norms at exponent pf: floor(p/2) + 1 nodes
+    for an integer p <= 15, exact for the degree-p integrand, else 8."""
+    return _gauss_01(int(pf) // 2 + 1 if pf <= 15 and pf.is_integer() else 8)
 
 
 def fftconvolve(in1, in2, n=None, axes=None, out=None):
@@ -183,9 +212,12 @@ def _weighted_norm(weight, values, pf: float):
 class ConvolutionResult:
     """Convolution output with its own domain geometry and a certified norm."""
 
-    def __init__(self, model, truncation_mass=0.0):
+    # the input mass the model's window cut off the result; none on the
+    # kinds whose results keep their whole support
+    truncation_mass = 0.0
+
+    def __init__(self, model):
         self.model = model
-        self.truncation_mass = _scalar_or_rows(truncation_mass)
 
     def lp_norm(self, p):
         """The Lp norm: a float, or one per function of a stack."""
@@ -203,8 +235,8 @@ class ConvolutionResult:
 class CellConvolution(ConvolutionResult):
     """Values on a weighted cell set (finite groups, integer line, affine)."""
 
-    def __init__(self, model, values, weight, truncation_mass=0.0):
-        super().__init__(model, truncation_mass)
+    def __init__(self, model, values, weight):
+        super().__init__(model)
         self.values = values
         self.weight = weight
 
@@ -213,19 +245,36 @@ class CellConvolution(ConvolutionResult):
 
 
 class AffineConvolution(CellConvolution):
-    """Affine convolution sampled on an enlarged (u, b) grid."""
+    """Affine convolution sampled on a (u, b) grid: the enlarged one that
+    holds its whole support, or the carrier window."""
 
-    def __init__(self, model, values, weight, u_points, b_centers, truncation_mass):
-        super().__init__(model, values, weight, truncation_mass)
+    def __init__(self, model, values, weight, u_points, b_centers, v1, v2, de):
+        super().__init__(model, values, weight)
         self.u_points = u_points
         self.b_centers = b_centers
+        self._operands = (v1, v2, de, values)
+
+    @functools.cached_property
+    def truncation_mass(self):
+        """||phi1||_1 ||phi2 Delta^de||_1 less the L1 mass of psi on this
+        grid, clipped at 0: a float, or one per function of a stack.  The
+        estimator's loop never reads it, so it is formed on first read,
+        from the operands and values as they are then."""
+        v1, v2, de, psi = self._operands
+        model = self.model
+
+        def mass(x):
+            return x.reshape(x.shape[:-2] + (-1,)).sum(axis=-1)
+
+        in_mass = mass(model.weight * np.abs(v1)) * mass(model.weight * np.abs(v2) * model.delta**de)
+        return _scalar_or_rows(np.maximum(0.0, in_mass - mass(self.weight * np.abs(psi))))
 
 
 class LinePWL(ConvolutionResult):
     """Piecewise-linear function with equispaced knots (exact on the line)."""
 
-    def __init__(self, model, x0, h, values, truncation_mass=0.0):
-        super().__init__(model, truncation_mass)
+    def __init__(self, model, x0, h, values):
+        super().__init__(model)
         self.x0 = float(x0)
         self.h = float(h)
         self.values = values
@@ -237,8 +286,8 @@ class LinePWL(ConvolutionResult):
 class TorusPWL(ConvolutionResult):
     """Piecewise-linear function on the circle; knots at the cell edges."""
 
-    def __init__(self, model, values, truncation_mass=0.0):
-        super().__init__(model, truncation_mass)
+    def __init__(self, model, values):
+        super().__init__(model)
         self.h = model.h
         self.values = values
 
@@ -249,16 +298,16 @@ class TorusPWL(ConvolutionResult):
 class PlanePWL(ConvolutionResult):
     """Piecewise-bilinear function on an equispaced 2-d knot grid."""
 
-    def __init__(self, model, x0, h, values, truncation_mass=0.0):
-        super().__init__(model, truncation_mass)
+    def __init__(self, model, x0, h, values):
+        super().__init__(model)
         self.x0 = float(x0)
         self.h = float(h)
         self.values = values
 
     def lp_norm(self, p):
         pf = _pf(p)
-        # one function at a time: the Gauss-node surface below is 64 times
-        # the knot grid, so it is not built for a whole stack
+        # one function at a time: the Gauss-node surface below is up to 64
+        # times the knot grid, so it is not built for a whole stack
         stack = self.values.reshape((-1,) + self.values.shape[-2:])
         norms = np.array([self._knot_norm(v, pf) for v in stack])
         return _scalar_or_rows(norms.reshape(self.values.shape[:-2]))
@@ -271,21 +320,22 @@ class PlanePWL(ConvolutionResult):
         v /= peak
         # the bilinear surface at the Gauss nodes (t, s), one node row t at
         # a time: its edges lo (s = 0) and hi (s = 1) are (m, n) arrays, and
-        # the row's (8, m, n) block is lo + s (hi - lo), raised to p and
+        # the row's (q, m, n) block is lo + s (hi - lo), raised to p and
         # summed over the cells in place
-        m, n, q = v.shape[0] - 1, v.shape[1] - 1, _T01.size
+        nodes, _, weights = _gauss_rule(pf)
+        m, n, q = v.shape[0] - 1, v.shape[1] - 1, nodes.size
         row = _node_buffer(self.model, (q, m, n))
         sums = np.empty((q, q))
         v00, v10, v01, v11 = v[:-1, :-1], v[1:, :-1], v[:-1, 1:], v[1:, 1:]
-        for k, t in enumerate(_T01):
+        for k, t in enumerate(nodes):
             lo = v00 * (1 - t) + v10 * t
             hi = v01 * (1 - t) + v11 * t
             hi -= lo
-            np.multiply.outer(_T01, hi, out=row)
+            np.multiply.outer(nodes, hi, out=row)
             row += lo
             row **= pf
             row.reshape(q, -1).sum(axis=-1, out=sums[k])
-        cell = _W01_2D @ sums.reshape(-1)
+        cell = weights @ sums.reshape(-1)
         return peak * float(cell * self.h * self.h) ** (1.0 / pf)
 
 
@@ -305,11 +355,12 @@ def _node_buffer(model, shape):
 def _pwl_norm(model, values, h, pf, cyclic):
     """Lp norm of the piecewise-linear function through ``values`` (knots
     of common spacing h along the last axis; ``cyclic`` closes the last
-    segment back to the first knot), by 8-node Gauss on every segment.
+    segment back to the first knot), by Gauss quadrature on every segment
+    (``_gauss_rule``).
 
-    The nodes are the leading axis of the (8, *stack, segments) values, so
+    The nodes are the leading axis of the (q, *stack, segments) values, so
     every pass runs over whole rows of segments.  Each node's values are
-    summed over the segments of each function, and the 8 node sums are
+    summed over the segments of each function, and the q node sums are
     weighted and added one node after another, elementwise: a row of a
     stack gets exactly the value the same function has alone.  (One BLAS
     matvec over all rows would not: OpenBLAS's dgemv rounds a column by
@@ -323,14 +374,15 @@ def _pwl_norm(model, values, h, pf, cyclic):
     a = mags if cyclic else mags[..., :-1]
     b = np.roll(mags, -1, axis=-1) if cyclic else mags[..., 1:]
     # the values a + t (b - a) at the nodes t, with b - a in the last row
-    buf = _node_buffer(model, (_T01.size + 1,) + a.shape)
-    nodes = np.multiply.outer(_T01, np.subtract(b, a, out=buf[-1]), out=buf[:-1])
+    t, w, _ = _gauss_rule(pf)
+    buf = _node_buffer(model, (t.size + 1,) + a.shape)
+    nodes = np.multiply.outer(t, np.subtract(b, a, out=buf[-1]), out=buf[:-1])
     nodes += a
     nodes **= pf
     sums = nodes.sum(axis=-1)
-    total = sums[0] * _W01[0]
-    for s, w in zip(sums[1:], _W01[1:]):
-        total += s * w
+    total = sums[0] * w[0]
+    for s, wk in zip(sums[1:], w[1:]):
+        total += s * wk
     return _scaled_root(peak, total * h, pf)
 
 
@@ -358,8 +410,10 @@ def twisted_convolve(
     return _convolve(phi1.model, phi1.values, phi2.values, de, enlarged)
 
 
-def _convolve(model, v1, v2, de, enlarged=True):
-    return _KERNELS[type(model)].convolve(model, v1, v2, de, enlarged)
+def _convolve(model, v1, v2, de, enlarged=True, **spectra):
+    """The model's convolution kernel; ``spectra`` passes the carried
+    kernel spectra (``spectra=``, ``fill=``) to the affine window path."""
+    return _KERNELS[type(model)].convolve(model, v1, v2, de, enlarged, **spectra)
 
 
 def _integer_line_convolve(model, v1, v2, de, enlarged):
@@ -417,21 +471,21 @@ def _finite_convolve(model, v1, v2, de, enlarged=True):
     return CellConvolution(model, _vec_mat(v1, _finite_kernel(model, v2, de)), model.weight)
 
 
-def _affine_kernel_cols(model: AffineModel, out_b, reverse=False):
+def _affine_kernel_cols(model: AffineModel, out_b):
     """Cell column of e^{-u_i} x_d for every carrier row i and every b offset
-    x_d from the carrier to the output grid ``out_b``, the offsets reversed
-    when ``reverse``, padded to the FFT length of the row convolutions.
+    x_d from the carrier to the output grid ``out_b``, padded to the FFT
+    length of the row convolutions.
 
     A row convolution with these W = n_b + out_b.size - 1 offsets is read
     only on its W-wide central window, which a circular convolution of any
     length N >= W leaves free of aliasing, so N is the least fast length
     >= W.  A column outside the window, and every column past the W
-    offsets, is n_b, the zero that _summed_row_convolutions puts past the
+    offsets, is n_b, the zero that _summed_row_spectrum puts past the
     end of every phi2 row, so a kernel row is gathered whole.  Built once
     per model and output window and kept on the model (a few hundred
     kilobytes on the criterion-6 grid); the FFT length is the width.
     """
-    key = (out_b.size, float(out_b[0]), reverse)
+    key = (out_b.size, float(out_b[0]))
     cache = getattr(model, "_kernel_cols", None)
     if cache is None:
         cache = model._kernel_cols = {}
@@ -443,14 +497,35 @@ def _affine_kernel_cols(model: AffineModel, out_b, reverse=False):
         col = np.floor((args + model.b_half_width) / model.h_b).astype(int)
         col = np.where((col >= 0) & (col < nb), col, nb)
         cols = np.full((model.n_u, _next_fast_len(d.size)), nb)
-        cols[:, : d.size] = col[:, ::-1] if reverse else col
+        cols[:, : d.size] = col
         cols.flags.writeable = False
         cache[key] = cols
     return cache[key]
 
 
-def _summed_row_convolutions(model, spec, v2, de, cols, n_rows, terms):
-    """One inverse FFT of a sum of row-wise circular convolutions with phi2
+def _kernel_spectra_buffer(model, n):
+    """An uninitialized array for the window-path kernel spectra of n
+    functions, to be written by a call with ``fill``; None on the kinds
+    that have none.  On the window both the forward and A* take, for phi2
+    row r, the kernel rows of the n_u - |r - U/h_u| carrier rows it
+    reaches, r in order."""
+    if not isinstance(model, AffineModel):
+        return None
+    ku = (model.n_u - 1) // 2
+    nfreq = _affine_kernel_cols(model, model.b_centers).shape[1] // 2 + 1
+    return np.empty((n, model.n_u**2 - ku * (ku + 1), nfreq), dtype=complex)
+
+
+def _kernel_spectra(row, cols, kern, out):
+    """The rfft, into ``out``, of the kernel rows that the phi2 row ``row``
+    (padded with its zero) gives at the columns ``cols``, gathered into
+    ``kern``."""
+    np.take(row, cols, axis=-1, out=kern, mode="clip")
+    return np.fft.rfft(kern, out=out)
+
+
+def _summed_row_spectrum(model, spec, v2, de, cols, n_rows, terms, spectra=None, fill=False):
+    """The spectrum of a sum of row-wise circular convolutions with phi2
     rows, at the FFT length nfft = cols.shape[1].
 
     ``terms`` yields (r, rows, src, dst): phi2 row r, scaled by its
@@ -459,43 +534,57 @@ def _summed_row_convolutions(model, spec, v2, de, cols, n_rows, terms):
     times the rows ``src`` of the spectrum ``spec`` is added into the rows
     ``dst`` of the sum.  A phi2 row that is all zero in every function is
     skipped.  The inverse FFT is linear, so the products are summed in the
-    frequency domain and the call ends in one irfft of its n_rows rows
-    instead of one per phi2 row.  Each gather writes one contiguous block
-    of whole kernel rows, which rfft takes as they are.  A row of a stack
-    is summed on its own, so it gets the values it has alone.
+    frequency domain, and the caller takes one irfft of its n_rows rows
+    instead of one per phi2 row, once the buffers here are freed.  Each
+    gather writes one contiguous block of whole kernel rows, which rfft
+    takes as they are.  A row of a stack is summed on its own, so it gets
+    the values it has alone.
+
+    ``spectra`` (batch x kernel row x frequency) holds the kernel spectra
+    in the order of ``terms``: with ``fill`` they are written there, the
+    rows of a skipped phi2 row as zeros, else they are read from there and
+    nothing is gathered or transformed.  Either way the products are the
+    ones a call without them forms.
     """
     nfft = cols.shape[1]
     nfreq = nfft // 2 + 1
     batch = np.broadcast_shapes(spec.shape[:-2], v2.shape[:-2])
-    padded = np.zeros(batch + v2.shape[-2:-1] + (v2.shape[-1] + 1,))
-    if de != 0.0:
-        # each phi2 row is scaled once before its gathers, which give every
-        # kernel entry the product it would get after them
-        dfac = np.array([math.exp(-de * x) for x in model.u_centers.tolist()])
-        np.multiply(v2, dfac[:, None], out=padded[..., :-1])
-    else:
-        padded[..., :-1] = v2
     live = v2.any(axis=tuple(range(v2.ndim - 2)) + (-1,)).tolist()
-    # flat buffers, so the k kernel rows of every function of a stack are
-    # one contiguous block
     n = math.prod(batch)
-    kern = np.empty(n * cols.shape[0] * nfft)
+    gather = spectra is None or fill
+    if gather:
+        padded = np.zeros(batch + v2.shape[-2:-1] + (v2.shape[-1] + 1,))
+        if de != 0.0:
+            # each phi2 row is scaled once before its gathers, which give
+            # every kernel entry the product it would get after them
+            dfac = np.array([math.exp(-de * x) for x in model.u_centers.tolist()])
+            np.multiply(v2, dfac[:, None], out=padded[..., :-1])
+        else:
+            padded[..., :-1] = v2
+        # a flat buffer, so the k kernel rows of every function of a stack
+        # are one contiguous block
+        kern = np.empty(n * cols.shape[0] * nfft)
     prod = np.empty(n * cols.shape[0] * nfreq, dtype=complex)
     acc = np.zeros(batch + (n_rows, nfreq), dtype=complex)
+    end = 0
     for r, rows, src, dst in terms:
-        if not live[r]:
-            continue
         k = rows.stop - rows.start
-        row_kern = kern[: n * k * nfft].reshape(batch + (k, nfft))
-        np.take(padded[..., r, :], cols[rows], axis=-1, out=row_kern, mode="clip")
-        part = np.fft.rfft(row_kern, out=prod[: n * k * nfreq].reshape(batch + (k, nfreq)))
-        part *= spec[..., src, :]
+        end += k
+        part = prod[: n * k * nfreq].reshape(batch + (k, nfreq))
+        kspec = part if spectra is None else spectra[..., end - k : end, :]
+        if not live[r]:
+            if fill:
+                kspec[...] = 0.0
+            continue
+        if gather:
+            row_kern = kern[: n * k * nfft].reshape(batch + (k, nfft))
+            _kernel_spectra(padded[..., r, :], cols[rows], row_kern, kspec)
+        np.multiply(kspec, spec[..., src, :], out=part)
         acc[..., dst, :] += part
-    del padded, kern, prod  # the inverse's output takes their place
-    return np.fft.irfft(acc, nfft)
+    return acc
 
 
-def _affine_convolve(model: AffineModel, v1, v2, de, enlarged):
+def _affine_convolve(model: AffineModel, v1, v2, de, enlarged, spectra=None, fill=False):
     h_u, h_b = model.h_u, model.h_b
     nu, nb = model.n_u, model.n_b
     u = model.u_centers
@@ -511,7 +600,6 @@ def _affine_convolve(model: AffineModel, v1, v2, de, enlarged):
     n_rows, n_out = out_u.size, out_b.size
     cols = _affine_kernel_cols(model, out_b)
     spec1 = np.fft.rfft(v1 * model.weight, cols.shape[1])
-    batch = v1.shape[:-2]
 
     def terms():
         for r in range(nu):
@@ -520,20 +608,15 @@ def _affine_convolve(model: AffineModel, v1, v2, de, enlarged):
             dst = slice(r + lo - row_shift, r + hi - row_shift)
             yield r, slice(lo, hi), slice(lo, hi), dst
 
-    full = _summed_row_convolutions(model, spec1, v2, de, cols, n_rows, terms())
+    acc = _summed_row_spectrum(model, spec1, v2, de, cols, n_rows, terms(), spectra, fill)
+    full = np.fft.irfft(acc, cols.shape[1])
     psi = full[..., nb - 1 : nb - 1 + n_out]
     out_mass = (
         np.exp(-out_u)[:, None]
         * (2.0 * math.sinh(h_u / 2.0) * h_b)
         * np.ones(n_out)[None, :]
     )
-
-    def mass(x):
-        return x.reshape(batch + (-1,)).sum(axis=-1)
-
-    in_mass = mass(model.weight * np.abs(v1)) * mass(model.weight * np.abs(v2) * model.delta**de)
-    trunc = np.maximum(0.0, in_mass - mass(out_mass * np.abs(psi)))
-    return AffineConvolution(model, psi, out_mass, out_u, out_b, trunc)
+    return AffineConvolution(model, psi, out_mass, out_u, out_b, v1, v2, de)
 
 
 # ---------------------------------------------------------------------------
@@ -725,9 +808,10 @@ def _centered_integrals_2d(values, h):
     return centered_integrals(centered_integrals(values, h, axis=-2), h, axis=-1)
 
 
-def ascent_direction_phi1(model, phi2_vals, w, de):
-    """A* w on the carrier; the proposal direction for the first argument."""
-    return _KERNELS[type(model)].adjoint_phi1(model, phi2_vals, w, de)
+def ascent_direction_phi1(model, phi2_vals, w, de, **spectra):
+    """A* w on the carrier; the proposal direction for the first argument.
+    ``spectra`` passes the carried kernel spectra to the affine window path."""
+    return _KERNELS[type(model)].adjoint_phi1(model, phi2_vals, w, de, **spectra)
 
 
 def ascent_direction_phi2(model, phi1_vals, w, de):
@@ -779,20 +863,27 @@ def _plane_correlate(model, f, w, de):
     return full[..., n : 2 * n, n : 2 * n]
 
 
-def _affine_ascent_phi1(model: AffineModel, v2, w: AffineConvolution, de):
+def _affine_ascent_phi1(model: AffineModel, v2, w: AffineConvolution, de, spectra=None, fill=False):
     """Batched Toeplitz evaluation of A* w on the affine carrier.
 
     For carrier row i and dual row m the middle coordinate is
     u_m^w - u_i = u_r for the integer phi2 row r, so the sum splits into
-    per-r batches; along b it is a correlation against the dilated,
-    step-sampled phi2 row.
+    per-r batches; along b it is a correlation of the dual row with the
+    dilated, step-sampled phi2 row, the forward's kernel row k for the
+    dual's grid: A*[j] = sum_o k[n_b - 1 - j + o] w[o].  That is the
+    circular correlation of k and w at lag n_b - 1 - j, the inverse of
+    K conj(W) at the forward's FFT length N, where lags up to n_b - 1 read
+    only the W kernel columns and do not wrap.  So A* runs the forward's
+    row sums on the conjugate of the dual's spectrum.  On the carrier
+    window its terms are the forward's with src and dst swapped, in the
+    same order, so it takes the forward's ``spectra`` as they are.
     """
     nu, nb = model.n_u, model.n_b
     ku = (nu - 1) // 2
     base = int(round(w.u_points[0] / model.h_u))
-    n_out = w.b_centers.size
-    cols = _affine_kernel_cols(model, w.b_centers, reverse=True)
+    cols = _affine_kernel_cols(model, w.b_centers)
     spec_w = np.fft.rfft(w.values * w.weight, cols.shape[1])
+    np.conjugate(spec_w, out=spec_w)
     n_rows = w.values.shape[-2]
 
     def terms():
@@ -804,8 +895,9 @@ def _affine_ascent_phi1(model: AffineModel, v2, w: AffineConvolution, de):
                 continue
             yield r, slice(lo, hi), slice(lo + shift, hi + shift), slice(lo, hi)
 
-    full = _summed_row_convolutions(model, spec_w, v2, de, cols, nu, terms())
-    return full[..., n_out - 1 : n_out - 1 + nb]
+    acc = _summed_row_spectrum(model, spec_w, v2, de, cols, nu, terms(), spectra, fill)
+    full = np.fft.irfft(acc, cols.shape[1])
+    return full[..., nb - 1 :: -1]
 
 
 def _affine_ascent_phi2(model: AffineModel, v1, w: AffineConvolution, de):

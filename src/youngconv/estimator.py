@@ -37,6 +37,7 @@ from .convolution import (
     _convolve,
     _delta_exponent,
     _divisor,
+    _kernel_spectra_buffer,
     _normalized_convolve,
     _weighted_norm,
     ascent_direction_phi1,
@@ -143,10 +144,10 @@ def _normalize(model, values, p: Exponent):
     return values / _divisor(norm, model.weight.ndim), norm
 
 
-def _loop_ratio(model, v1, v2, de, p: Exponent):
+def _loop_ratio(model, v1, v2, de, p: Exponent, **spectra):
     """Ratio of normalized iterates via the in-loop convolution path, and the
-    convolution it was read from."""
-    psi = _convolve(model, v1, v2, de, enlarged=False)
+    convolution it was read from; ``spectra`` goes to the convolution."""
+    psi = _convolve(model, v1, v2, de, enlarged=False, **spectra)
     return psi.lp_norm(p), psi
 
 
@@ -169,6 +170,16 @@ class _Lockstep:
     exactly what a lone restart would: it draws from its own generator,
     skips where a lone restart skips and accepts the same steps, so
     restarts stay independent of each other and of how many run.
+
+    On the affine grid ``spectra`` carries the kernel spectra of each row's
+    phi2, which the forward and A* share while phi2 holds still: a call on
+    the whole stack fills them when it convolves with a new phi2 and reads
+    them when phi2 is the current one, so a phi1 half-step neither gathers
+    nor transforms a kernel.  A row whose spectra are not those of its
+    phi2 is ``stale``: its phi2 candidates were all rejected after the
+    first try wrote over them, or it changed phi2 in a call on part of the
+    stack, which gathers and transforms as it would alone.  The next A*
+    then fills the whole stack again.  Only the ascent holds them.
     """
 
     def __init__(self, model, ex: YoungExponents, cfg):
@@ -178,7 +189,11 @@ class _Lockstep:
         self.index = np.arange(cfg.restarts)
         self.ls_tries = np.zeros(cfg.restarts, dtype=int)
         self.pair = list(_random_pairs(model, ex, self.rngs))
-        self.ratio, self.psi = _loop_ratio(model, *self.pair, self.de, ex.p)
+        self.spectra = _kernel_spectra_buffer(model, cfg.restarts)
+        self.stale = np.zeros(cfg.restarts, dtype=bool)
+        self.ratio, self.psi = _loop_ratio(
+            model, *self.pair, self.de, ex.p, **self.carried(self.index, fill=True)
+        )
         # a start whose convolution has zero norm is drawn again, 8 times at most
         for _ in range(8):
             rows = np.flatnonzero(~(self.ratio > 0))
@@ -186,12 +201,41 @@ class _Lockstep:
                 break
             self.redraw(rows)
 
+    def carried(self, rows, fill=False):
+        """Keyword arguments that hand the carried spectra to a forward or
+        A* on the stack rows ``rows``: none unless they are the whole stack."""
+        if self.spectra is None or len(rows) != len(self.index):
+            return {}
+        return {"spectra": self.spectra, "fill": fill}
+
     def redraw(self, rows):
         """Fresh random pairs for the given rows, and their ratios."""
         v1, v2 = _random_pairs(self.model, self.ex, [self.rngs[k] for k in self.index[rows]])
         self.pair[0][rows], self.pair[1][rows] = v1, v2
         self.ratio[rows], psi = _loop_ratio(self.model, v1, v2, self.de, self.ex.p)
         self.psi.values[rows] = psi.values
+        self.stale[rows] = True
+
+    def propose(self, side, live):
+        """The normalized proposal for phi1 (side 0) or phi2 (side 1), and
+        the rows in the mask ``live`` that have one."""
+        model, ex, de = self.model, self.ex, self.de
+        other = self.pair[1 - side]
+        pexp = ex.p1 if side == 0 else ex.p2
+        w = self.psi.dual_power(float(ex.p) - 1.0)
+        if side == 0:
+            carry = self.carried(self.index, fill=bool(self.stale.any()))
+            grad = ascent_direction_phi1(model, other, w, de, **carry)
+            self.stale[:] = False
+        else:
+            grad = ascent_direction_phi2(model, other, w, de)
+        grad = np.maximum(grad, 0.0)
+        flat = grad.reshape(len(self.index), -1)
+        live = live & flat.any(axis=1)
+        peak = np.where(live, flat.max(axis=1), 1.0)
+        lift = np.reshape(peak, (-1,) + (1,) * len(model.shape))
+        proposal, norm = _normalize(model, (grad / lift) ** (1.0 / (float(pexp) - 1.0)), pexp)
+        return proposal, np.flatnonzero(live & (norm != 0.0))
 
     def half_step(self, side, live):
         """One proposal for phi1 (side 0) or phi2 (side 1) on the rows in
@@ -199,15 +243,8 @@ class _Lockstep:
         model, ex, de = self.model, self.ex, self.de
         current, other = self.pair[side], self.pair[1 - side]
         pexp = ex.p1 if side == 0 else ex.p2
-        adjoint = ascent_direction_phi1 if side == 0 else ascent_direction_phi2
-        w = self.psi.dual_power(float(ex.p) - 1.0)
-        grad = np.maximum(adjoint(model, other, w, de), 0.0)
-        flat = grad.reshape(len(self.index), -1)
-        live = live & flat.any(axis=1)
-        peak = np.where(live, flat.max(axis=1), 1.0)
-        lift = np.reshape(peak, (-1,) + (1,) * len(model.shape))
-        proposal, norm = _normalize(model, (grad / lift) ** (1.0 / (float(pexp) - 1.0)), pexp)
-        pending = np.flatnonzero(live & (norm != 0.0))
+        # the dual and the gradient are freed before the line search
+        proposal, pending = self.propose(side, live)
         # backtracking toward the previous iterate; each try evaluates only
         # the rows that rejected every earlier t
         for t in (1.0, 0.5, 0.25, 0.125):
@@ -221,12 +258,19 @@ class _Lockstep:
                 continue
             self.ls_tries[self.index[rows]] += 1
             args = (cand, other[rows]) if side == 0 else (other[rows], cand)
-            cand_ratio, cand_psi = _loop_ratio(model, *args, de, ex.p)
+            carry = self.carried(rows, fill=side == 1)
+            cand_ratio, cand_psi = _loop_ratio(model, *args, de, ex.p, **carry)
             ok = cand_ratio >= self.ratio[rows]
             accepted = rows[ok]
             current[accepted] = cand[ok]
             self.ratio[accepted] = cand_ratio[ok]
             self.psi.values[accepted] = cand_psi.values[ok]
+            if side == 1 and carry:
+                # the try wrote each candidate's spectra; a rejected row's
+                # are not those of its phi2
+                self.stale[rows] = ~ok
+            elif side == 1:
+                self.stale[accepted] = True
             keep = ~tried
             keep[tried] = ~ok
             pending = pending[keep]
@@ -253,6 +297,14 @@ class _Lockstep:
         self.ratio = self.ratio[keep]
         self.psi.values = self.psi.values[keep]
         self.index = self.index[keep]
+        self.stale = self.stale[keep]
+        if self.spectra is not None:
+            # moved up in place: a copy of the kept rows would double them
+            kept = np.flatnonzero(keep)
+            for j, k in enumerate(kept.tolist()):
+                if j != k:
+                    self.spectra[j] = self.spectra[k]
+            self.spectra = self.spectra[: kept.size]
         return out
 
 

@@ -25,12 +25,17 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
 
 class GroupModelError(ValueError):
     """Invalid group table or degenerate grid parameters."""
+
+
+# the least Haar mass of a cell: the square root of the least normal float
+_MIN_CELL_MASS = math.sqrt(sys.float_info.min)
 
 
 class GroupModel:
@@ -53,6 +58,13 @@ class GroupModel:
             raise GroupModelError(f"{name}: Haar weights must be finite and positive")
         if not np.all(np.isfinite(self.delta) & (self.delta > 0)):
             raise GroupModelError(f"{name}: modular function must be finite and positive")
+        # a function of unit norm reaches about 1/mass on a cell, and a
+        # convolution multiplies two such values, so 1/mass^2 must be finite
+        if not np.all(self.weight >= _MIN_CELL_MASS):
+            raise GroupModelError(
+                f"{name}: a cell's Haar mass {self.weight.min():.3g} is below "
+                f"{_MIN_CELL_MASS:.3g}; use wider cells"
+            )
 
     @property
     def shape(self):
@@ -108,11 +120,15 @@ class GroupFunction:
 
 
 class FiniteGroup(GroupModel):
+    """A group given by its multiplication table.  ``from_law`` marks a
+    table computed from a group law, associative by construction, whose
+    O(n^3) associativity check is skipped; a table given as data keeps it."""
+
     kind = "finite"
 
-    def __init__(self, table, name="finite"):
+    def __init__(self, table, name="finite", from_law=False):
         table = np.asarray(table, dtype=int)
-        n = _validate_group_table(table, name)
+        n = _validate_group_table(table, name, from_law)
         self.table = table
         self.identity = _find_identity(table)
         self.inv = _find_inverses(table, self.identity)
@@ -128,7 +144,7 @@ class FiniteGroup(GroupModel):
         return values[self.inv]
 
 
-def _validate_group_table(table, name):
+def _validate_group_table(table, name, from_law=False):
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise GroupModelError(f"{name}: table must be square")
     n = table.shape[0]
@@ -137,6 +153,8 @@ def _validate_group_table(table, name):
     if table.min() < 0 or table.max() >= n:
         raise GroupModelError(f"{name}: table entries outside 0..{n - 1}")
     _find_identity(table)
+    if from_law:
+        return n
     # associativity (ij)k == i(jk) for all triples, gathered over blocks of
     # rows i of at most 2^18 elements (or one row), so memory stays O(n^2);
     # a table of n <= 64 takes one block
@@ -177,7 +195,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupModelError(f"cyclic group order must be >= 1, got {n}")
     idx = np.arange(n)
-    return FiniteGroup((idx[:, None] + idx[None, :]) % n, name=f"Z/{n}")
+    return FiniteGroup((idx[:, None] + idx[None, :]) % n, name=f"Z/{n}", from_law=True)
 
 
 def finite_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
@@ -186,7 +204,7 @@ def finite_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     ia, ja = np.divmod(np.arange(na * nb), nb)
     ta = a.table[np.ix_(ia, ia)]
     tb = b.table[np.ix_(ja, ja)]
-    return FiniteGroup(ta * nb + tb, name=f"{a.name}x{b.name}")
+    return FiniteGroup(ta * nb + tb, name=f"{a.name}x{b.name}", from_law=True)
 
 
 def affine_prime_field(q: int) -> FiniteGroup:
@@ -204,7 +222,7 @@ def affine_prime_field(q: int) -> FiniteGroup:
     prod_a = (a1 * a2) % q
     prod_b = (a1 * b2 + b1) % q
     table = (prod_a - 1) * q + prod_b
-    return FiniteGroup(table, name=f"Aff(F{q})")
+    return FiniteGroup(table, name=f"Aff(F{q})", from_law=True)
 
 
 def load_group_table(path) -> FiniteGroup:

@@ -121,6 +121,13 @@ def test_estimate_boundary_short_circuit(capsys):
     assert "boundary" in capsys.readouterr().out
 
 
+def test_estimate_boundary_csv(tmp_path):
+    path = tmp_path / "boundary.csv"
+    argv = ["estimate", "--group", "Zwindow:5", "--p1", "1", "--p2", "3/2", "--csv", str(path)]
+    assert main(argv) == 0
+    assert path.read_text().splitlines() == ["group,p1,p2,p,boundary_value", "Z[L=5],1,3/2,3/2,1.0"]
+
+
 def test_estimate_from_table_file(tmp_path):
     from youngconv.groups import cyclic_group
 
@@ -215,10 +222,19 @@ def _run_in_process(argv):
         ["estimate", "--group", "Zmod:6", "--p1", "4/3", "--p2", "4/3", "--restarts", "1",
          "--iters", "1", "--csv", "{tmp}/missing/x.csv"],
         ["verify", "--proof-chain", "--seeds", "1", "--csv", "{tmp}/missing/x.csv"],
+        # a boundary triple writes its row to --csv too
+        ["estimate", "--group", "Zwindow:5", "--p1", "1", "--p2", "3/2",
+         "--csv", "{tmp}/missing/x.csv"],
+        # cells too small for a function of unit norm, refused before numpy warns
+        ["estimate", "--group", "Rline:h=1e-300,L=1e-300", "--p1", "4/3", "--p2", "4/3"],
+        ["estimate", "--group", "Plane:h=1e-160,L=1e-160", "--p1", "4/3", "--p2", "4/3"],
+        # a table given as data is checked for associativity
+        ["estimate", "--group", "Table:{tmp}/lopsided.json", "--p1", "4/3", "--p2", "4/3"],
     ],
 )
 def test_bad_input_exits_4_with_one_error_line(tmp_path, argv):
     (tmp_path / "five.json").write_text("[5]")
+    (tmp_path / "lopsided.json").write_text(json.dumps({"table": [[0, 1, 2], [1, 2, 0], [2, 1, 0]]}))
     argv = [a.format(tmp=tmp_path) for a in argv]
     code, _, err = _run_in_process(argv)
     assert code == 4

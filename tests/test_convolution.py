@@ -16,6 +16,7 @@ from youngconv.convolution import (
     _centered_integrals_2d,
     _centered_integrals_cyclic,
     _convolve,
+    _kernel_spectra_buffer,
     _next_fast_len,
     _weighted_norm,
     ascent_direction_phi1,
@@ -373,11 +374,13 @@ def test_norms_after_a_larger_norm_are_unchanged():
 # as first written, before its temporaries were built in place.  The
 # piecewise-linear norms take their Gauss sums with the nodes outermost:
 # they must equal, bit for bit, the node-outer expressions below, written
-# plainly.  They must also agree with a 30-digit evaluation of the same
-# Gauss sum to 2e-15 relative, and with the per-cell expressions as first
-# written to 2e-15 (line, torus) or the plane bound below.
+# plainly, with floor(p/2) + 1 nodes for an integer p <= 15 and 8 nodes
+# otherwise.  They must also agree with a 30-digit evaluation of the 8-node
+# Gauss sum to 2e-15 relative, and with the per-cell 8-node expressions as
+# first written to 2e-15 (line, torus) or the plane bound below: for an
+# integer p both rules are exact.
 
-ORACLE_PS = [5 / 4, 4 / 3, 3 / 2, 2.0, 7 / 3, 4.0, math.inf]
+ORACLE_PS = [5 / 4, 4 / 3, 3 / 2, 2.0, 7 / 3, 3.0, 4.0, math.inf]
 ORACLE_RTOL = 2e-15
 # The per-cell plane expression adds its 64 x cells terms one after
 # another (an unoptimized einsum): on the oracle draws it is itself up to
@@ -441,6 +444,14 @@ def _ref_plane_norm(v, h, pf):
     return peak * float(cell * h * h) ** (1.0 / pf)
 
 
+def _ref_rule(pf):
+    """Gauss nodes and weights on [0, 1]: floor(p/2) + 1 of them for an
+    integer p <= 15, whose integrand has degree p, else 8."""
+    q = int(pf) // 2 + 1 if pf <= 15 and pf == int(pf) else 8
+    nodes, weights = np.polynomial.legendre.leggauss(q)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
+
+
 def _ref_nodes_pwl_norm(v, h, pf, cyclic):
     """Gauss sum with the nodes outermost: each node's values summed over
     the segments, then the node sums weighted and added in node order."""
@@ -453,8 +464,9 @@ def _ref_nodes_pwl_norm(v, h, pf, cyclic):
     v = v / peak
     a = v if cyclic else v[:-1]
     b = np.roll(v, -1) if cyclic else v[1:]
-    sums = [np.sum((a + t * (b - a)) ** pf) for t in _T01]
-    total = sum(w * s for w, s in zip(_W01, sums))
+    nodes, weights = _ref_rule(pf)
+    sums = [np.sum((a + t * (b - a)) ** pf) for t in nodes]
+    total = sum(w * s for w, s in zip(weights, sums))
     return peak * float(total * h) ** (1.0 / pf)
 
 
@@ -468,13 +480,14 @@ def _ref_nodes_plane_norm(v, h, pf):
     if peak == 0.0:
         return 0.0
     v = v / peak
-    sums = np.empty((_T01.size, _T01.size))
-    for k, t in enumerate(_T01):
+    nodes, weights = _ref_rule(pf)
+    sums = np.empty((nodes.size, nodes.size))
+    for k, t in enumerate(nodes):
         lo = v[:-1, :-1] * (1 - t) + v[1:, :-1] * t
         hi = v[:-1, 1:] * (1 - t) + v[1:, 1:] * t
-        for j, s in enumerate(_T01):
+        for j, s in enumerate(nodes):
             sums[k, j] = np.sum((lo + s * (hi - lo)) ** pf)
-    cell = np.outer(_W01, _W01).ravel() @ sums.ravel()
+    cell = np.outer(weights, weights).ravel() @ sums.ravel()
     return peak * float(cell * h * h) ** (1.0 / pf)
 
 
@@ -544,7 +557,7 @@ def test_norms_bit_equal_to_reference_expressions(pf):
         _assert_rel(got, _ref_plane_norm(v, plane.h, pf), PLANE_PER_CELL_RTOL)
 
 
-@pytest.mark.parametrize("pf", [4 / 3, 15 / 7, 4.0])
+@pytest.mark.parametrize("pf", [4 / 3, 15 / 7, 2.0, 3.0, 4.0])
 def test_norms_match_a_30_digit_gauss_sum(pf):
     rng = np.random.default_rng(12)
     line, torus, plane = make_real_line(0.25, 4.0), make_torus(16), make_plane(0.5, 1.0)
@@ -790,6 +803,47 @@ def test_affine_row_sums_match_per_row_reference(model):
                     )
                     assert np.array_equal(ascent_direction_phi1(model, v2[s], w_s, de), a_star[s])
                     assert np.array_equal(ascent_direction_phi2(model, v1[s], w_s, de), b_star[s])
+
+
+@pytest.mark.parametrize("model", [
+    make_affine_group(0.25, 1.0, 0.25, 2.0),
+    make_affine_group(0.5, 0.5, 1.0, 1.0),  # 3 x 2 cells
+    make_affine_group(0.1, 0.2, 0.25, 1.0),
+], ids=lambda m: m.name)
+def test_affine_carried_kernel_spectra_match_a_fresh_forward(model):
+    # the estimator hands the forward and A* the kernel spectra of phi2 that
+    # an earlier call wrote: every value must be the one a fresh call gives,
+    # for the whole stack, for rows of it (spectra sliced with the values)
+    # and for one function
+    rng = np.random.default_rng(18)
+    v1, v2 = rng.random((3,) + model.shape), rng.random((3,) + model.shape)
+    v2[:, 0, :] = 0.0  # skipped in every function
+    v2[1, -1, :] = 0.0  # zero in one function only
+    for de in (0.0, 0.4):
+        spectra = _kernel_spectra_buffer(model, 3)
+        fresh = _convolve(model, v1, v2, de, False)
+        filled = _convolve(model, v1, v2, de, False, spectra=spectra, fill=True)
+        assert np.array_equal(filled.values, fresh.values)
+        u1 = rng.random(v1.shape)
+        for rows in ([0, 1, 2], [1], [0, 2], [2, 1]):
+            assert np.array_equal(
+                _convolve(model, u1[rows], v2[rows], de, False, spectra=spectra[rows]).values,
+                _convolve(model, u1[rows], v2[rows], de, False).values,
+            )
+        assert np.array_equal(
+            _convolve(model, u1[1], v2[1], de, False, spectra=spectra[1]).values,
+            _convolve(model, u1[1], v2[1], de, False).values,
+        )
+        w = _random_dual(fresh, rng)
+        a_star = ascent_direction_phi1(model, v2, w, de)
+        assert np.array_equal(ascent_direction_phi1(model, v2, w, de, spectra=spectra), a_star)
+        # A* fills them as the forward does
+        again = _kernel_spectra_buffer(model, 3)
+        again[...] = np.nan
+        assert np.array_equal(
+            ascent_direction_phi1(model, v2, w, de, spectra=again, fill=True), a_star
+        )
+        assert np.array_equal(again, spectra)
 
 
 # Double-sum oracle: the affine convolution and A* straight from the group

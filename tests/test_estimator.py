@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from youngconv import estimator
+from youngconv import convolution, estimator
 from youngconv.cli import _build_model
 from youngconv.constants import beckner_Y_Rn
 from youngconv.convolution import (
@@ -226,6 +226,51 @@ def test_ascent_convolves_once_per_ratio_evaluation(monkeypatch):
         ls_tries = counts["ratio"] - 1
         assert ls_tries > 0
         assert counts["convolve"] == 1 + ls_tries
+
+
+def test_phi1_half_steps_transform_no_kernel(monkeypatch):
+    # on the affine grid the kernel spectra of phi2 are carried from the
+    # phi2 half-step, where the accepted candidate's forward wrote them, to
+    # A* and the line search of the next phi1 half-step
+    side = [None]
+    counts = {0: 0, 1: 0, None: 0}
+    half_step = estimator._Lockstep.half_step
+    kernel_spectra = convolution._kernel_spectra
+
+    def traced_half_step(self, s, live):
+        side[0] = s
+        try:
+            half_step(self, s, live)
+        finally:
+            side[0] = None
+
+    def counted(*args):
+        counts[side[0]] += 1
+        return kernel_spectra(*args)
+
+    monkeypatch.setattr(estimator._Lockstep, "half_step", traced_half_step)
+    monkeypatch.setattr(convolution, "_kernel_spectra", counted)
+    model = _build_model("Affine:hu=0.05,U=1.5,hb=0.05,B=3")
+    cfg = EstimatorConfig(restarts=1, max_iters=60, tol=1e-8, seed=42)
+    report = estimate(model, young_p("4/3", "4/3"), cfg)
+    assert counts[0] == 0
+    assert counts[1] > 0 and counts[None] > 0  # phi2 candidates, start, certification
+    # the spectra end with the ascent: nothing complex is left behind
+    assert not _complex_arrays(vars(model))
+    assert not _complex_arrays(vars(report))
+
+
+def _complex_arrays(obj):
+    """The complex arrays reachable through dicts, sequences and dataclasses."""
+    if isinstance(obj, np.ndarray):
+        return [obj] if np.iscomplexobj(obj) else []
+    if isinstance(obj, dict):
+        return [a for v in obj.values() for a in _complex_arrays(v)]
+    if isinstance(obj, (list, tuple)):
+        return [a for v in obj for a in _complex_arrays(v)]
+    if hasattr(obj, "__dataclass_fields__"):
+        return _complex_arrays(vars(obj))
+    return []
 
 
 def test_estimate_rejects_fewer_than_one_restart():

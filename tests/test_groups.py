@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -77,13 +78,38 @@ def test_malformed_tables_rejected():
 def test_group_table_check_memory_is_quadratic():
     # the associativity check gathers blocks of rows: the whole (n, n, n)
     # gather of Z/200 once peaked at 136 MB, and Z/1000 would ask for 17 GB
+    table = cyclic_group(200).table
     tracemalloc.start()
     try:
-        cyclic_group(200)
+        make_finite_group(table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 10e6
+
+
+def test_tables_from_a_group_law_skip_the_associativity_check():
+    # the O(n^3) check took about 14 s on Z/1000; a table computed from a
+    # group law is associative by construction (a table given as data is
+    # still checked: test_malformed_tables_rejected)
+    start = time.perf_counter()
+    z = cyclic_group(1000)
+    assert time.perf_counter() - start < 0.5
+    assert z.op(999, 2) == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build", [
+    lambda: make_real_line(1e-300, 1e-300),
+    lambda: make_real_line(1e-200, 2e-200),
+    lambda: make_plane(1e-160, 1e-160),
+    lambda: make_affine_group(0.5, 1.0, 1e-160, 1e-160),
+])
+def test_cells_too_small_for_unit_norm_functions_rejected(build):
+    # a function of unit norm reaches about 1/mass on a cell, and the
+    # convolution multiplies two of them: the model refuses the grid
+    with pytest.raises(GroupModelError, match="Haar mass"):
+        build()
 
 
 def test_left_translation_permutes_and_preserves_sums():
