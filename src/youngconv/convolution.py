@@ -37,13 +37,13 @@ B* samples each inverse at dilated positions across the whole
 correlation, so it keeps the full length and one inverse per output row.
 
 The kernel rows depend on phi2 alone, and the estimator's loop convolves
-with one phi2 many times: the forward and A* on the carrier window take
-the kernel spectra of phi2 (``spectra``: stack row x kernel row x
-frequency) and either write them as they form them (``fill``) or read
-them in place of their gather and rfft.  That is sum_r (n_u - |r - U/h_u|)
-kernel rows of about n_b complex bins per function, 5.4 MB on the 61 x 120
-criterion-6 grid, growing as n_u^2 n_b.  Only the estimator keeps them,
-for the length of an ascent.
+with one phi2 many times, so it runs its ascent inside
+``kept_kernel_spectra(model)``: there the forward and A* keep the kernel
+spectra of the last phi2 stack they convolved with, keyed on the output
+window, the Delta exponent and an exact copy of phi2, and read them in
+place of their gather and rfft while the key holds.  On the carrier
+window they take 5.4 MB per function on the 61 x 120 criterion-6 grid,
+growing as n_u^2 n_b, and they are dropped before certification.
 
 Every kernel, adjoint and norm also takes a stack of functions: leading
 axes in front of the model's own (numpy ``...`` style), reduced only over
@@ -55,8 +55,10 @@ batched form.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import types
 from collections import namedtuple
 
 import numpy as np
@@ -410,10 +412,9 @@ def twisted_convolve(
     return _convolve(phi1.model, phi1.values, phi2.values, de, enlarged)
 
 
-def _convolve(model, v1, v2, de, enlarged=True, **spectra):
-    """The model's convolution kernel; ``spectra`` passes the carried
-    kernel spectra (``spectra=``, ``fill=``) to the affine window path."""
-    return _KERNELS[type(model)].convolve(model, v1, v2, de, enlarged, **spectra)
+def _convolve(model, v1, v2, de, enlarged=True):
+    """The model's convolution kernel."""
+    return _KERNELS[type(model)].convolve(model, v1, v2, de, enlarged)
 
 
 def _integer_line_convolve(model, v1, v2, de, enlarged):
@@ -471,6 +472,23 @@ def _finite_convolve(model, v1, v2, de, enlarged=True):
     return CellConvolution(model, _vec_mat(v1, _finite_kernel(model, v2, de)), model.weight)
 
 
+def _window_table(build):
+    """build(model, out_b), an affine index table for the output b grid (the
+    dual's in A* and B*), built once per grid and kept on the model, read-only."""
+
+    @functools.wraps(build)
+    def table(model, out_b):
+        cache = vars(model).setdefault("_window_tables", {})
+        key = (build.__name__, out_b.size, float(out_b[0]))
+        if key not in cache:
+            cache[key] = build(model, out_b)
+            cache[key].flags.writeable = False
+        return cache[key]
+
+    return table
+
+
+@_window_table
 def _affine_kernel_cols(model: AffineModel, out_b):
     """Cell column of e^{-u_i} x_d for every carrier row i and every b offset
     x_d from the carrier to the output grid ``out_b``, padded to the FFT
@@ -481,39 +499,52 @@ def _affine_kernel_cols(model: AffineModel, out_b):
     length N >= W leaves free of aliasing, so N is the least fast length
     >= W.  A column outside the window, and every column past the W
     offsets, is n_b, the zero that _summed_row_spectrum puts past the
-    end of every phi2 row, so a kernel row is gathered whole.  Built once
-    per model and output window and kept on the model (a few hundred
-    kilobytes on the criterion-6 grid); the FFT length is the width.
+    end of every phi2 row, so a kernel row is gathered whole.  A few
+    hundred kilobytes on the criterion-6 grid; the FFT length is the width.
     """
-    key = (out_b.size, float(out_b[0]))
-    cache = getattr(model, "_kernel_cols", None)
-    if cache is None:
-        cache = model._kernel_cols = {}
-    if key not in cache:
-        nb = model.n_b
-        d = np.arange(nb + out_b.size - 1) - (nb - 1)
-        x_d = (out_b[0] - model.b_centers[0]) + d * model.h_b
-        args = np.exp(-model.u_centers)[:, None] * x_d[None, :]  # e^{-u_i} is Delta at row i
-        col = np.floor((args + model.b_half_width) / model.h_b).astype(int)
-        col = np.where((col >= 0) & (col < nb), col, nb)
-        cols = np.full((model.n_u, _next_fast_len(d.size)), nb)
-        cols[:, : d.size] = col
-        cols.flags.writeable = False
-        cache[key] = cols
-    return cache[key]
+    nb = model.n_b
+    d = np.arange(nb + out_b.size - 1) - (nb - 1)
+    x_d = (out_b[0] - model.b_centers[0]) + d * model.h_b
+    args = np.exp(-model.u_centers)[:, None] * x_d[None, :]  # e^{-u_i} is Delta at row i
+    col = np.floor((args + model.b_half_width) / model.h_b).astype(int)
+    col = np.where((col >= 0) & (col < nb), col, nb)
+    cols = np.full((model.n_u, _next_fast_len(d.size)), nb)
+    cols[:, : d.size] = col
+    return cols
 
 
-def _kernel_spectra_buffer(model, n):
-    """An uninitialized array for the window-path kernel spectra of n
-    functions, to be written by a call with ``fill``; None on the kinds
-    that have none.  On the window both the forward and A* take, for phi2
-    row r, the kernel rows of the n_u - |r - U/h_u| carrier rows it
-    reaches, r in order."""
-    if not isinstance(model, AffineModel):
-        return None
-    ku = (model.n_u - 1) // 2
-    nfreq = _affine_kernel_cols(model, model.b_centers).shape[1] // 2 + 1
-    return np.empty((n, model.n_u**2 - ku * (ku + 1), nfreq), dtype=complex)
+@_window_table
+def _affine_sample_index(model: AffineModel, w_b):
+    """B*'s flat index of e^{u_i} b_c inside its correlation buffer for a
+    dual on the b grid ``w_b``: row i of the buffer holds the inverse for
+    carrier row i, and a sample outside the correlation reads the row's
+    last column, which stays 0."""
+    nb = model.n_b
+    full = w_b.size + nb - 1
+    nfft = _next_fast_len(full)
+    targets = np.exp(model.u_centers)[:, None] * model.b_centers[None, :]
+    rel = (targets + (model.b_centers[0] - w_b[0])) / model.h_b + 0.5
+    gather = np.floor(rel).astype(int) + (nb - 1)
+    gather = np.where((gather >= 0) & (gather < full), gather, nfft)
+    gather += (nfft + 1) * np.arange(model.n_u)[:, None]
+    return gather
+
+
+@contextlib.contextmanager
+def kept_kernel_spectra(model):
+    """A block in which the affine forward and A* keep the kernel spectra
+    of the last phi2 stack they convolved with (see _summed_row_spectrum);
+    the other kinds have none.  On exit the spectra are dropped, and the
+    model is left as the block found it.  Two threads must not run ascents
+    on one model at once."""
+    outer = vars(model).get("_kept_spectra")
+    model._kept_spectra = types.SimpleNamespace(key=None, buffer=np.empty(0, dtype=complex))
+    try:
+        yield
+    finally:
+        del model._kept_spectra
+        if outer is not None:
+            model._kept_spectra = outer
 
 
 def _kernel_spectra(row, cols, kern, out):
@@ -524,7 +555,7 @@ def _kernel_spectra(row, cols, kern, out):
     return np.fft.rfft(kern, out=out)
 
 
-def _summed_row_spectrum(model, spec, v2, de, cols, n_rows, terms, spectra=None, fill=False):
+def _summed_row_spectrum(model, spec, v2, de, cols, n_rows, terms):
     """The spectrum of a sum of row-wise circular convolutions with phi2
     rows, at the FFT length nfft = cols.shape[1].
 
@@ -540,20 +571,32 @@ def _summed_row_spectrum(model, spec, v2, de, cols, n_rows, terms, spectra=None,
     takes as they are.  A row of a stack is summed on its own, so it gets
     the values it has alone.
 
-    ``spectra`` (batch x kernel row x frequency) holds the kernel spectra
-    in the order of ``terms``: with ``fill`` they are written there, the
-    rows of a skipped phi2 row as zeros, else they are read from there and
-    nothing is gathered or transformed.  Either way the products are the
-    ones a call without them forms.
+    Inside kept_kernel_spectra the kernel spectra are kept on the model in
+    the order of ``terms``, which the forward and A* on one window share,
+    keyed on ``cols``, ``de`` and an exact copy of ``v2``.  A call with an
+    equal key reads them and gathers and transforms nothing; any other
+    writes its own over them, and the key is set once they are complete.
     """
     nfft = cols.shape[1]
     nfreq = nfft // 2 + 1
+    terms = list(terms)
     batch = np.broadcast_shapes(spec.shape[:-2], v2.shape[:-2])
+    vbatch = v2.shape[:-2]  # the spectra depend on phi2 alone
     live = v2.any(axis=tuple(range(v2.ndim - 2)) + (-1,)).tolist()
-    n = math.prod(batch)
-    gather = spectra is None or fill
-    if gather:
-        padded = np.zeros(batch + v2.shape[-2:-1] + (v2.shape[-1] + 1,))
+    n, nv = math.prod(batch), math.prod(vbatch)
+    kept = getattr(model, "_kept_spectra", None)
+    key = getattr(kept, "key", None)
+    hit = key is not None and key[0] is cols and key[1] == de and np.array_equal(key[2], v2)
+    if kept is not None:
+        if not hit:
+            # no key, and no old copy of phi2, while the spectra are written
+            kept.key = key = None
+        shape = vbatch + (sum(rows.stop - rows.start for _, rows, _, _ in terms), nfreq)
+        if kept.buffer.size < math.prod(shape):
+            kept.buffer = np.empty(math.prod(shape), dtype=complex)
+        spectra = kept.buffer[: math.prod(shape)].reshape(shape)
+    if not hit:
+        padded = np.zeros(v2.shape[:-1] + (v2.shape[-1] + 1,))
         if de != 0.0:
             # each phi2 row is scaled once before its gathers, which give
             # every kernel entry the product it would get after them
@@ -563,28 +606,31 @@ def _summed_row_spectrum(model, spec, v2, de, cols, n_rows, terms, spectra=None,
             padded[..., :-1] = v2
         # a flat buffer, so the k kernel rows of every function of a stack
         # are one contiguous block
-        kern = np.empty(n * cols.shape[0] * nfft)
+        kern = np.empty(nv * cols.shape[0] * nfft)
     prod = np.empty(n * cols.shape[0] * nfreq, dtype=complex)
     acc = np.zeros(batch + (n_rows, nfreq), dtype=complex)
     end = 0
     for r, rows, src, dst in terms:
         k = rows.stop - rows.start
         end += k
-        part = prod[: n * k * nfreq].reshape(batch + (k, nfreq))
-        kspec = part if spectra is None else spectra[..., end - k : end, :]
         if not live[r]:
-            if fill:
-                kspec[...] = 0.0
             continue
-        if gather:
-            row_kern = kern[: n * k * nfft].reshape(batch + (k, nfft))
+        part = prod[: n * k * nfreq].reshape(batch + (k, nfreq))
+        if kept is None:  # the spectra are formed in the product's place
+            kspec = prod[: nv * k * nfreq].reshape(vbatch + (k, nfreq))
+        else:
+            kspec = spectra[..., end - k : end, :]
+        if not hit:
+            row_kern = kern[: nv * k * nfft].reshape(vbatch + (k, nfft))
             _kernel_spectra(padded[..., r, :], cols[rows], row_kern, kspec)
         np.multiply(kspec, spec[..., src, :], out=part)
         acc[..., dst, :] += part
+    if kept is not None and not hit:
+        kept.key = (cols, de, v2.copy())
     return acc
 
 
-def _affine_convolve(model: AffineModel, v1, v2, de, enlarged, spectra=None, fill=False):
+def _affine_convolve(model: AffineModel, v1, v2, de, enlarged):
     h_u, h_b = model.h_u, model.h_b
     nu, nb = model.n_u, model.n_b
     u = model.u_centers
@@ -608,7 +654,7 @@ def _affine_convolve(model: AffineModel, v1, v2, de, enlarged, spectra=None, fil
             dst = slice(r + lo - row_shift, r + hi - row_shift)
             yield r, slice(lo, hi), slice(lo, hi), dst
 
-    acc = _summed_row_spectrum(model, spec1, v2, de, cols, n_rows, terms(), spectra, fill)
+    acc = _summed_row_spectrum(model, spec1, v2, de, cols, n_rows, terms())
     full = np.fft.irfft(acc, cols.shape[1])
     psi = full[..., nb - 1 : nb - 1 + n_out]
     out_mass = (
@@ -778,28 +824,23 @@ def _affine_residual(model, v1, v2, ex):
 # decided by the exactly evaluated ratio.
 
 
-def centered_integrals(values, h, axis=-1):
+def centered_integrals(values, h, axis=-1, cyclic=False):
     """Exact integrals of a PWL function over [knot - h/2, knot + h/2],
     with knots along ``axis``: (h/8) (left + 6 v + right), zero beyond the
-    ends, built in one array."""
+    ends, or with the ends each other's neighbours if ``cyclic``, built in
+    one array."""
     v = np.asarray(values, dtype=float)
-    head, tail = [slice(None)] * v.ndim, [slice(None)] * v.ndim
-    head[axis], tail[axis] = slice(None, -1), slice(1, None)
-    head, tail = tuple(head), tuple(tail)
+    # all knots but the last, all but the first, the first and the last
+    head, tail, first, last = (
+        (slice(None),) * (axis % v.ndim) + (at,) for at in (slice(-1), slice(1, None), 0, -1)
+    )
     out = 6.0 * v
     out[tail] += v[head]  # left neighbours
+    if cyclic:
+        out[first] += v[last]
     out[head] += v[tail]  # right neighbours
-    out *= h / 8.0
-    return out
-
-
-def _centered_integrals_cyclic(values, h):
-    """centered_integrals on a cycle: the ends are each other's neighbours."""
-    out = 6.0 * values
-    out[..., 1:] += values[..., :-1]
-    out[..., 0] += values[..., -1]
-    out[..., :-1] += values[..., 1:]
-    out[..., -1] += values[..., 0]
+    if cyclic:
+        out[last] += v[first]
     out *= h / 8.0
     return out
 
@@ -808,10 +849,9 @@ def _centered_integrals_2d(values, h):
     return centered_integrals(centered_integrals(values, h, axis=-2), h, axis=-1)
 
 
-def ascent_direction_phi1(model, phi2_vals, w, de, **spectra):
-    """A* w on the carrier; the proposal direction for the first argument.
-    ``spectra`` passes the carried kernel spectra to the affine window path."""
-    return _KERNELS[type(model)].adjoint_phi1(model, phi2_vals, w, de, **spectra)
+def ascent_direction_phi1(model, phi2_vals, w, de):
+    """A* w on the carrier; the proposal direction for the first argument."""
+    return _KERNELS[type(model)].adjoint_phi1(model, phi2_vals, w, de)
 
 
 def ascent_direction_phi2(model, phi1_vals, w, de):
@@ -851,7 +891,7 @@ def _real_line_correlate(model, f, w, de):
 def _torus_correlate(model, f, w, de):
     # out[k] = sum_j f[j] a[(j + k) mod n] for the shifted window integrals a
     n = model.n
-    a = np.roll(_centered_integrals_cyclic(w.values, model.h), -1, axis=-1)
+    a = np.roll(centered_integrals(w.values, model.h, cyclic=True), -1, axis=-1)
     valid = _convolve_last(np.concatenate((a, a), axis=-1), f[..., ::-1], "valid")
     return valid[..., :n]
 
@@ -863,7 +903,7 @@ def _plane_correlate(model, f, w, de):
     return full[..., n : 2 * n, n : 2 * n]
 
 
-def _affine_ascent_phi1(model: AffineModel, v2, w: AffineConvolution, de, spectra=None, fill=False):
+def _affine_ascent_phi1(model: AffineModel, v2, w: AffineConvolution, de):
     """Batched Toeplitz evaluation of A* w on the affine carrier.
 
     For carrier row i and dual row m the middle coordinate is
@@ -874,9 +914,10 @@ def _affine_ascent_phi1(model: AffineModel, v2, w: AffineConvolution, de, spectr
     circular correlation of k and w at lag n_b - 1 - j, the inverse of
     K conj(W) at the forward's FFT length N, where lags up to n_b - 1 read
     only the W kernel columns and do not wrap.  So A* runs the forward's
-    row sums on the conjugate of the dual's spectrum.  On the carrier
-    window its terms are the forward's with src and dst swapped, in the
-    same order, so it takes the forward's ``spectra`` as they are.
+    row sums on the conjugate of the dual's spectrum.  On the dual's window
+    its terms are the forward's with src and dst swapped, in the same
+    order, so inside kept_kernel_spectra it reads the spectra that the
+    forward kept for the same phi2.
     """
     nu, nb = model.n_u, model.n_b
     ku = (nu - 1) // 2
@@ -895,7 +936,7 @@ def _affine_ascent_phi1(model: AffineModel, v2, w: AffineConvolution, de, spectr
                 continue
             yield r, slice(lo, hi), slice(lo + shift, hi + shift), slice(lo, hi)
 
-    acc = _summed_row_spectrum(model, spec_w, v2, de, cols, nu, terms(), spectra, fill)
+    acc = _summed_row_spectrum(model, spec_w, v2, de, cols, nu, terms())
     full = np.fft.irfft(acc, cols.shape[1])
     return full[..., nb - 1 :: -1]
 
@@ -910,26 +951,16 @@ def _affine_ascent_phi2(model: AffineModel, v1, w: AffineConvolution, de):
     in the frequency domain as in A*; the inverse runs into one buffer
     kept for the call instead.
     """
-    h_b = model.h_b
     nu, nb = model.n_u, model.n_b
     u = model.u_centers
     ku = (nu - 1) // 2
     base = int(round(w.u_points[0] / model.h_u))
-    n_w = w.b_centers.size
     n_rows = w.values.shape[-2]
     v1w = v1 * model.weight
-    full = n_w + nb - 1
-    nfft = _next_fast_len(full)
+    nfft = _next_fast_len(w.b_centers.size + nb - 1)
     spec_w = np.fft.rfft(w.values, nfft)
     spec1 = np.fft.rfft(v1w[..., ::-1], nfft)
-    # flat index of e^{u_i} b_c inside the correlation buffer, row i of
-    # which holds the inverse for carrier row i; samples outside the
-    # correlation read the buffer's last column, which stays 0
-    targets = np.exp(u)[:, None] * model.b_centers[None, :]
-    rel = (targets + (model.b_centers[0] - w.b_centers[0])) / h_b + 0.5
-    gather = np.floor(rel).astype(int) + (nb - 1)
-    gather = np.where((gather >= 0) & (gather < full), gather, nfft)
-    gather += (nfft + 1) * np.arange(nu)[:, None]
+    gather = _affine_sample_index(model, w.b_centers)
     batch = np.broadcast_shapes(w.values.shape[:-2], v1.shape[:-2])
     corr = np.zeros(batch + (nu, nfft + 1))
     flat = corr.reshape(batch + (-1,))

@@ -37,11 +37,11 @@ from .convolution import (
     _convolve,
     _delta_exponent,
     _divisor,
-    _kernel_spectra_buffer,
     _normalized_convolve,
     _weighted_norm,
     ascent_direction_phi1,
     ascent_direction_phi2,
+    kept_kernel_spectra,
     lp_norm,
 )
 
@@ -144,10 +144,10 @@ def _normalize(model, values, p: Exponent):
     return values / _divisor(norm, model.weight.ndim), norm
 
 
-def _loop_ratio(model, v1, v2, de, p: Exponent, **spectra):
+def _loop_ratio(model, v1, v2, de, p: Exponent):
     """Ratio of normalized iterates via the in-loop convolution path, and the
-    convolution it was read from; ``spectra`` goes to the convolution."""
-    psi = _convolve(model, v1, v2, de, enlarged=False, **spectra)
+    convolution it was read from."""
+    psi = _convolve(model, v1, v2, de, enlarged=False)
     return psi.lp_norm(p), psi
 
 
@@ -171,15 +171,10 @@ class _Lockstep:
     skips where a lone restart skips and accepts the same steps, so
     restarts stay independent of each other and of how many run.
 
-    On the affine grid ``spectra`` carries the kernel spectra of each row's
-    phi2, which the forward and A* share while phi2 holds still: a call on
-    the whole stack fills them when it convolves with a new phi2 and reads
-    them when phi2 is the current one, so a phi1 half-step neither gathers
-    nor transforms a kernel.  A row whose spectra are not those of its
-    phi2 is ``stale``: its phi2 candidates were all rejected after the
-    first try wrote over them, or it changed phi2 in a call on part of the
-    stack, which gathers and transforms as it would alone.  The next A*
-    then fills the whole stack again.  Only the ascent holds them.
+    It runs inside _ascend's kept_kernel_spectra block: on the affine grid
+    the forward and A* keep the kernel spectra of the phi2 stack they last
+    convolved with, so while phi2 holds still a phi1 half-step on the
+    whole stack neither gathers nor transforms a kernel.
     """
 
     def __init__(self, model, ex: YoungExponents, cfg):
@@ -189,11 +184,7 @@ class _Lockstep:
         self.index = np.arange(cfg.restarts)
         self.ls_tries = np.zeros(cfg.restarts, dtype=int)
         self.pair = list(_random_pairs(model, ex, self.rngs))
-        self.spectra = _kernel_spectra_buffer(model, cfg.restarts)
-        self.stale = np.zeros(cfg.restarts, dtype=bool)
-        self.ratio, self.psi = _loop_ratio(
-            model, *self.pair, self.de, ex.p, **self.carried(self.index, fill=True)
-        )
+        self.ratio, self.psi = _loop_ratio(model, *self.pair, self.de, ex.p)
         # a start whose convolution has zero norm is drawn again, 8 times at most
         for _ in range(8):
             rows = np.flatnonzero(~(self.ratio > 0))
@@ -201,20 +192,12 @@ class _Lockstep:
                 break
             self.redraw(rows)
 
-    def carried(self, rows, fill=False):
-        """Keyword arguments that hand the carried spectra to a forward or
-        A* on the stack rows ``rows``: none unless they are the whole stack."""
-        if self.spectra is None or len(rows) != len(self.index):
-            return {}
-        return {"spectra": self.spectra, "fill": fill}
-
     def redraw(self, rows):
         """Fresh random pairs for the given rows, and their ratios."""
         v1, v2 = _random_pairs(self.model, self.ex, [self.rngs[k] for k in self.index[rows]])
         self.pair[0][rows], self.pair[1][rows] = v1, v2
         self.ratio[rows], psi = _loop_ratio(self.model, v1, v2, self.de, self.ex.p)
         self.psi.values[rows] = psi.values
-        self.stale[rows] = True
 
     def propose(self, side, live):
         """The normalized proposal for phi1 (side 0) or phi2 (side 1), and
@@ -223,13 +206,8 @@ class _Lockstep:
         other = self.pair[1 - side]
         pexp = ex.p1 if side == 0 else ex.p2
         w = self.psi.dual_power(float(ex.p) - 1.0)
-        if side == 0:
-            carry = self.carried(self.index, fill=bool(self.stale.any()))
-            grad = ascent_direction_phi1(model, other, w, de, **carry)
-            self.stale[:] = False
-        else:
-            grad = ascent_direction_phi2(model, other, w, de)
-        grad = np.maximum(grad, 0.0)
+        direction = ascent_direction_phi1 if side == 0 else ascent_direction_phi2
+        grad = np.maximum(direction(model, other, w, de), 0.0)
         flat = grad.reshape(len(self.index), -1)
         live = live & flat.any(axis=1)
         peak = np.where(live, flat.max(axis=1), 1.0)
@@ -258,19 +236,12 @@ class _Lockstep:
                 continue
             self.ls_tries[self.index[rows]] += 1
             args = (cand, other[rows]) if side == 0 else (other[rows], cand)
-            carry = self.carried(rows, fill=side == 1)
-            cand_ratio, cand_psi = _loop_ratio(model, *args, de, ex.p, **carry)
+            cand_ratio, cand_psi = _loop_ratio(model, *args, de, ex.p)
             ok = cand_ratio >= self.ratio[rows]
             accepted = rows[ok]
             current[accepted] = cand[ok]
             self.ratio[accepted] = cand_ratio[ok]
             self.psi.values[accepted] = cand_psi.values[ok]
-            if side == 1 and carry:
-                # the try wrote each candidate's spectra; a rejected row's
-                # are not those of its phi2
-                self.stale[rows] = ~ok
-            elif side == 1:
-                self.stale[accepted] = True
             keep = ~tried
             keep[tried] = ~ok
             pending = pending[keep]
@@ -297,14 +268,6 @@ class _Lockstep:
         self.ratio = self.ratio[keep]
         self.psi.values = self.psi.values[keep]
         self.index = self.index[keep]
-        self.stale = self.stale[keep]
-        if self.spectra is not None:
-            # moved up in place: a copy of the kept rows would double them
-            kept = np.flatnonzero(keep)
-            for j, k in enumerate(kept.tolist()):
-                if j != k:
-                    self.spectra[j] = self.spectra[k]
-            self.spectra = self.spectra[: kept.size]
         return out
 
 
@@ -313,30 +276,32 @@ _Ascent = namedtuple("_Ascent", "index iterations converged trace pair ls_tries"
 
 def _ascend(model, ex: YoungExponents, cfg):
     """The ascent of every restart of one estimate, advanced in lockstep;
-    one _Ascent per restart, in restart order."""
-    stack = _Lockstep(model, ex, cfg)
-    traces = [[r] for r in stack.ratio.tolist()]
-    ended = {}  # restart -> (iterations, converged, pair)
-    # convergence is judged on the gain over a window of iterations, not a
-    # single step: slow geometric crawls stop with O(tol) of value left on
-    # the table either way, but the window keeps that slop near tol itself
-    window = 64
-    iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
-        stack.iterate()
-        done = []
-        for j, (k, ratio) in enumerate(zip(stack.index.tolist(), stack.ratio.tolist())):
-            trace = traces[k]
-            trace.append(ratio)
-            anchor = trace[max(0, len(trace) - 1 - window)]
-            if ratio > 0 and (ratio - anchor) <= cfg.tol * max(anchor, 1e-300):
-                done.append(j)
-        if done:
-            finished = stack.index[done].tolist()
-            for k, pair in zip(finished, stack.retire(done)):
-                ended[k] = (iterations, True, pair)
-        if stack.index.size == 0:
-            break
+    one _Ascent per restart, in restart order.  The affine kernel spectra
+    are kept for the loop alone, so they are gone before certification."""
+    with kept_kernel_spectra(model):
+        stack = _Lockstep(model, ex, cfg)
+        traces = [[r] for r in stack.ratio.tolist()]
+        ended = {}  # restart -> (iterations, converged, pair)
+        # convergence is judged on the gain over a window of iterations, not a
+        # single step: slow geometric crawls stop with O(tol) of value left on
+        # the table either way, but the window keeps that slop near tol itself
+        window = 64
+        iterations = 0
+        for iterations in range(1, cfg.max_iters + 1):
+            stack.iterate()
+            done = []
+            for j, (k, ratio) in enumerate(zip(stack.index.tolist(), stack.ratio.tolist())):
+                trace = traces[k]
+                trace.append(ratio)
+                anchor = trace[max(0, len(trace) - 1 - window)]
+                if ratio > 0 and (ratio - anchor) <= cfg.tol * max(anchor, 1e-300):
+                    done.append(j)
+            if done:
+                finished = stack.index[done].tolist()
+                for k, pair in zip(finished, stack.retire(done)):
+                    ended[k] = (iterations, True, pair)
+            if stack.index.size == 0:
+                break
     for k, pair in zip(stack.index.tolist(), stack.retire(np.arange(stack.index.size))):
         ended[k] = (iterations, False, pair)
     return [

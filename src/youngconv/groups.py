@@ -39,7 +39,7 @@ _MIN_CELL_MASS = math.sqrt(sys.float_info.min)
 
 
 class GroupModel:
-    """Base class; concrete kinds fill in carrier geometry.
+    """Base class; concrete kinds supply carrier geometry.
 
     The default inversion reverses every axis, as on the symmetric abelian
     grids; the default random start and bump carry no envelope, as on

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from scipy import fft as sp_fft
 
+from youngconv import convolution
 from youngconv.cli import _build_model
 from youngconv.constants import beckner_Y_Rn
 from youngconv.convolution import (
@@ -14,15 +16,14 @@ from youngconv.convolution import (
     PlanePWL,
     TorusPWL,
     _centered_integrals_2d,
-    _centered_integrals_cyclic,
     _convolve,
-    _kernel_spectra_buffer,
     _next_fast_len,
     _weighted_norm,
     ascent_direction_phi1,
     ascent_direction_phi2,
     centered_integrals,
     fftconvolve,
+    kept_kernel_spectra,
     lp_norm,
     transform_identity_check,
     twisted_convolve,
@@ -810,40 +811,109 @@ def test_affine_row_sums_match_per_row_reference(model):
     make_affine_group(0.5, 0.5, 1.0, 1.0),  # 3 x 2 cells
     make_affine_group(0.1, 0.2, 0.25, 1.0),
 ], ids=lambda m: m.name)
-def test_affine_carried_kernel_spectra_match_a_fresh_forward(model):
-    # the estimator hands the forward and A* the kernel spectra of phi2 that
-    # an earlier call wrote: every value must be the one a fresh call gives,
-    # for the whole stack, for rows of it (spectra sliced with the values)
-    # and for one function
+def test_affine_carried_kernel_spectra_match_a_fresh_forward(model, monkeypatch):
+    # inside kept_kernel_spectra the forward and A* keep the kernel spectra
+    # of the last phi2 stack they convolved with: every value must be the
+    # one a call outside the block gives, a call that reads them (a hit)
+    # gathers no kernel, and a call with another phi2 or Delta exponent (a
+    # miss) gathers its own
     rng = np.random.default_rng(18)
     v1, v2 = rng.random((3,) + model.shape), rng.random((3,) + model.shape)
+    u1 = rng.random(v1.shape)
     v2[:, 0, :] = 0.0  # skipped in every function
     v2[1, -1, :] = 0.0  # zero in one function only
-    for de in (0.0, 0.4):
-        spectra = _kernel_spectra_buffer(model, 3)
-        fresh = _convolve(model, v1, v2, de, False)
-        filled = _convolve(model, v1, v2, de, False, spectra=spectra, fill=True)
-        assert np.array_equal(filled.values, fresh.values)
-        u1 = rng.random(v1.shape)
-        for rows in ([0, 1, 2], [1], [0, 2], [2, 1]):
-            assert np.array_equal(
-                _convolve(model, u1[rows], v2[rows], de, False, spectra=spectra[rows]).values,
-                _convolve(model, u1[rows], v2[rows], de, False).values,
-            )
-        assert np.array_equal(
-            _convolve(model, u1[1], v2[1], de, False, spectra=spectra[1]).values,
-            _convolve(model, u1[1], v2[1], de, False).values,
-        )
-        w = _random_dual(fresh, rng)
-        a_star = ascent_direction_phi1(model, v2, w, de)
-        assert np.array_equal(ascent_direction_phi1(model, v2, w, de, spectra=spectra), a_star)
-        # A* fills them as the forward does
-        again = _kernel_spectra_buffer(model, 3)
-        again[...] = np.nan
-        assert np.array_equal(
-            ascent_direction_phi1(model, v2, w, de, spectra=again, fill=True), a_star
-        )
-        assert np.array_equal(again, spectra)
+    changed = v2.copy()
+    changed[2, model.n_u // 2, model.n_b // 2] *= 2.0
+    gathers = [0]
+    kernel_spectra = convolution._kernel_spectra
+
+    def counted(*args):
+        gathers[0] += 1
+        return kernel_spectra(*args)
+
+    monkeypatch.setattr(convolution, "_kernel_spectra", counted)
+
+    def gathered(fn, *args):
+        """fn(*args) as a plain array, and the kernel rows it gathered."""
+        before = gathers[0]
+        out = fn(*args)
+        return getattr(out, "values", out), gathers[0] - before
+
+    def forward(a, b, de):
+        return _convolve(model, a, b, de, False)
+
+    def enlarged(a, b, de):
+        return _convolve(model, a, b, de, True)
+
+    for de, other_de in ((0.0, 0.4), (0.4, 0.0)):
+        w = _random_dual(forward(v1, v2, de), rng)
+        calls = [
+            (forward, v1, v2, de),  # the fill
+            (forward, u1, v2, de),
+            (functools.partial(ascent_direction_phi1, model), v2, w, de),
+            # misses, each differing from the kept spectra in one part of
+            # the key: the exponent and back, the output window and back,
+            # and one entry of phi2
+            (forward, v1, v2, other_de),
+            (forward, v1, v2, de),
+            (enlarged, v1, v2, de),
+            (forward, v1, v2, de),
+            (forward, v1, changed, de),
+        ]
+        for rows in ([1], [0, 2], [2, 1]):
+            calls += [(forward, u1[rows], v2[rows], de), (forward, v1[rows], v2[rows], de)]
+        calls += [(forward, u1[1], v2[1], de), (forward, v1[1], v2[1], de)]
+        want = [gathered(*call)[0] for call in calls]
+        with kept_kernel_spectra(model):
+            got = [gathered(*call) for call in calls]
+        for (value, n), ref in zip(got, want):
+            assert np.array_equal(value, ref)
+        # a fill and two hits, the five misses, then a fill and a hit for
+        # each row subset and for one function
+        hits = [n == 0 for _, n in got]
+        assert hits == [False, True, True] + [False] * 5 + [False, True] * 4
+
+    # a fill that raises leaves a miss: the next call gathers again
+    def failing(*args):
+        if gathers[0] == 1:  # the second phi2 row of the fill
+            raise MemoryError
+        return counted(*args)
+
+    ref = forward(v1, v2, 0.0).values
+    with kept_kernel_spectra(model):
+        monkeypatch.setattr(convolution, "_kernel_spectra", failing)
+        gathers[0] = 0
+        with pytest.raises(MemoryError):
+            forward(v1, v2, 0.0)
+        monkeypatch.setattr(convolution, "_kernel_spectra", counted)
+        value, n = gathered(forward, v1, v2, 0.0)
+        assert n > 0 and np.array_equal(value, ref)
+    # the key is a copy: phi2 changed in place after a fill is a miss
+    ref = forward(v1, changed, 0.0).values
+    with kept_kernel_spectra(model):
+        in_place = v2.copy()
+        forward(v1, in_place, 0.0)
+        in_place[...] = changed
+        value, n = gathered(forward, v1, in_place, 0.0)
+        assert n > 0 and np.array_equal(value, ref)
+    # the block leaves the model as it found it, an enclosing block's
+    # spectra included, and nothing complex stays behind, also when its
+    # body raises
+    with kept_kernel_spectra(model):
+        outer = model._kept_spectra
+        with pytest.raises(RuntimeError):
+            with kept_kernel_spectra(model):
+                forward(v1, v2, 0.0)
+                raise RuntimeError
+        assert model._kept_spectra is outer
+    assert not hasattr(model, "_kept_spectra")
+
+    def arrays(obj):
+        if isinstance(obj, dict):
+            obj = list(obj.values())
+        return [a for x in obj for a in arrays(x)] if isinstance(obj, (list, tuple)) else [obj]
+
+    assert not any(np.iscomplexobj(a) for a in arrays(vars(model)))
 
 
 # Double-sum oracle: the affine convolution and A* straight from the group
@@ -927,7 +997,7 @@ def test_centered_integrals_bit_equal_to_reference_expressions(batch):
         for h in (0.05, 0.2, 1.0 / 3.0):
             assert np.array_equal(centered_integrals(v, h), _ref_centered_integrals(v, h))
             assert np.array_equal(
-                _centered_integrals_cyclic(v, h), _ref_centered_integrals_cyclic(v, h)
+                centered_integrals(v, h, cyclic=True), _ref_centered_integrals_cyclic(v, h)
             )
     for m, n in ((1, 1), (2, 5), (81, 81)):
         v = rng.standard_normal(batch + (m, n)) * 10.0 ** rng.uniform(-5.0, 5.0)

@@ -24,6 +24,7 @@ from youngconv.estimator import (
 )
 from youngconv.exponents import Exponent, young_p
 from youngconv.groups import (
+    AffineModel,
     GroupFunction,
     GroupModelError,
     affine_prime_field,
@@ -301,8 +302,8 @@ def _serial_restart(model, ex, cfg, restart_index, one_row=False):
     """One restart alone, as the estimator ran restarts before they moved
     in lockstep: the reference for the stacked loop.  With ``one_row`` the
     iterates are one-row stacks, so every kernel runs the stacked code.
-    Returns the trace, iterations, convergence flag, line-search tries and
-    rejections."""
+    Returns the trace, iterations, convergence flag, line-search tries,
+    rejections and the last (phi1, phi2)."""
     rng = np.random.default_rng([cfg.seed, restart_index])
     de = float(_delta_exponent(ex))
     p1f, p2f, pf = float(ex.p1), float(ex.p2), float(ex.p)
@@ -374,7 +375,7 @@ def _serial_restart(model, ex, cfg, restart_index, one_row=False):
         if ratio > 0 and (ratio - anchor) <= cfg.tol * max(anchor, 1e-300):
             converged = True
             break
-    return trace, iterations, converged, ls_tries, rejections
+    return trace, iterations, converged, ls_tries, rejections, (v1, v2)
 
 
 ORACLE_SELECTORS = [
@@ -403,7 +404,7 @@ def test_lockstep_restarts_match_serial_oracle(p1, p2, selectors):
         report = estimate(model, ex, cfg)
         for r in report.restart_results:
             for one_row in (True, False):
-                trace, iterations, converged, ls_tries, rejections = _serial_restart(
+                trace, iterations, converged, ls_tries, rejections, _ = _serial_restart(
                     model, ex, cfg, r.index, one_row
                 )
                 where = f"{selector} restart {r.index} one_row={one_row}"
@@ -414,6 +415,70 @@ def test_lockstep_restarts_match_serial_oracle(p1, p2, selectors):
                 early |= converged and iterations < cfg.max_iters
                 rejected |= rejections > 0
     assert early and rejected
+
+
+@pytest.mark.parametrize("selector", ["Affine:hu=0.25,U=1,hb=0.25,B=2", "Rline:h=0.25,L=4"])
+def test_zero_start_is_drawn_again(selector, monkeypatch):
+    # restart 1's first pair is all zero, so its convolution vanishes and
+    # that row alone is drawn again; on the affine grid that forward runs
+    # on part of the stack, inside the kept kernel spectra.  Every restart
+    # still takes the steps the serial reference takes
+    model = _build_model(selector)
+    ex = young_p("4/3", "3/2")
+    cfg = EstimatorConfig(restarts=3, max_iters=40, tol=1e-9, seed=42)
+    draw = model.random_start
+    probe = np.random.default_rng([cfg.seed, 1])
+    first_pair = [probe.bit_generator.state]
+    draw(probe)
+    first_pair.append(probe.bit_generator.state)
+
+    def zero_first_pair(rng):
+        zero = rng.bit_generator.state in first_pair
+        values = draw(rng)  # drawn either way, so the generator moves on
+        return np.zeros_like(values) if zero else values
+
+    redrawn = []
+    redraw = estimator._Lockstep.redraw
+
+    def traced_redraw(self, rows):
+        redrawn.append(self.index[rows].tolist())
+        redraw(self, rows)
+
+    monkeypatch.setattr(model, "random_start", zero_first_pair)
+    monkeypatch.setattr(estimator._Lockstep, "redraw", traced_redraw)
+    report = estimate(model, ex, cfg)
+    assert redrawn == [[1]]
+    bounds = []
+    for r in report.restart_results:
+        trace, iterations, converged, ls_tries, _, pair = _serial_restart(model, ex, cfg, r.index)
+        assert (r.iterations, r.converged, r.ls_tries) == (iterations, converged, ls_tries)
+        np.testing.assert_allclose(r.trace, trace, rtol=1e-12, atol=0)
+        bounds.append(young_ratio(GroupFunction(model, pair[0]), GroupFunction(model, pair[1]), ex))
+    assert report.lower_bound == max(bounds)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "p1, p2", [("1001/1000", "1001/1000"), ("1001/1000", "4/3"), ("4/3", "1001/1000")]
+)
+def test_near_boundary_triples_step_cleanly(p1, p2):
+    # at p1 or p2 = 1001/1000 the proposal takes the gradient to the power
+    # 1000; every step must stay a finite nonzero function, so no numpy
+    # warning is raised, every trace climbs and every bound is a finite
+    # positive ratio, at most 1 where the model's bounds are certified
+    ex = young_p(p1, p2)
+    cfg = EstimatorConfig(restarts=2, max_iters=30, tol=1e-9, seed=42)
+    for selector in (
+        "Zmod:2", "Torus:2", "Zwindow:1", "Rline:h=0.5,L=1", "Plane:h=0.5,L=0.5",
+        "Affine:hu=0.5,U=0.5,hb=1,B=1",
+    ):
+        model = _build_model(selector)
+        report = estimate(model, ex, cfg)
+        for trace in report.ratio_trace:
+            assert all(b >= a for a, b in zip(trace, trace[1:])), selector
+        assert 0.0 < report.lower_bound < math.inf, selector
+        if not isinstance(model, AffineModel):
+            assert report.lower_bound <= 1.0 + 1e-12, selector
 
 
 def test_estimates_match_golden_file():
