@@ -35,6 +35,11 @@ forward's own kernel rows, so it multiplies their spectra by the conjugate
 of the dual's spectrum and reads the lags below n_b, which do not wrap.
 B* samples each inverse at dilated positions across the whole
 correlation, so it keeps the full length and one inverse per output row.
+The reversal check reads its right side's enlarged convolution only at
+the carrier's u rows and at the b columns that the inverses -e^{-u} b
+reach, so it convolves only that window, with kernel columns sliced from
+the enlarged output's own table so that every kernel cell is the one the
+whole enlarged output uses.
 
 The kernel rows depend on phi2 alone, and the estimator's loop convolves
 with one phi2 many times, so it runs its ascent inside
@@ -630,21 +635,47 @@ def _summed_row_spectrum(model, spec, v2, de, cols, n_rows, terms):
     return acc
 
 
-def _affine_convolve(model: AffineModel, v1, v2, de, enlarged):
+def _enlarged_window_cols(model: AffineModel, columns):
+    """The kernel columns of the enlarged output's columns ``columns``, a
+    slice of model.out_b_centers: the W = n_b + width - 1 offsets they read
+    are sliced from the enlarged table, so every cell index is the one the
+    whole enlarged output uses (offsets derived afresh from the window's
+    first b would round differently and can snap to the next cell at an
+    exact cell edge), and re-padded with n_b to the window's FFT length."""
+    start = columns.start
+    width = model.n_b + columns.stop - start - 1
+    cols = np.full((model.n_u, _next_fast_len(width)), model.n_b)
+    cols[:, :width] = _affine_kernel_cols(model, model.out_b_centers)[:, start : start + width]
+    return cols
+
+
+def _affine_convolve(model: AffineModel, v1, v2, de, enlarged, columns=None):
+    """The convolution on the carrier (``enlarged`` false) or on the
+    enlarged window that holds its whole support.  ``columns``, a slice of
+    the enlarged b grid, computes only the enlarged output's carrier u rows
+    (its rows ku to 3 ku) at those columns, which is all the affine reversal
+    check reads."""
     h_u, h_b = model.h_u, model.h_b
     nu, nb = model.n_u, model.n_b
     u = model.u_centers
     ku = (nu - 1) // 2  # U / h_u
-    if enlarged:
+    if columns is not None:
+        # enlarged row ku + i lies at u_i, so these rows are the carrier's
+        out_u = u
+        out_b = model.out_b_centers[columns]
+        row_shift = ku
+        cols = _enlarged_window_cols(model, columns)
+    elif enlarged:
         out_u = (np.arange(2 * nu - 1) - 2 * ku) * h_u
         out_b = model.out_b_centers
         row_shift = 0
+        cols = _affine_kernel_cols(model, out_b)
     else:
         out_u = u
         out_b = model.b_centers
         row_shift = ku  # row m = i + r - ku
+        cols = _affine_kernel_cols(model, out_b)
     n_rows, n_out = out_u.size, out_b.size
-    cols = _affine_kernel_cols(model, out_b)
     spec1 = np.fft.rfft(v1 * model.weight, cols.shape[1])
 
     def terms():
@@ -725,6 +756,10 @@ def transform_identity_check(
     evaluated at every carrier point.  Zero up to float roundoff wherever
     carrier inversion is exact (finite groups, symmetric abelian grids);
     O(h) on the affine grid where inversion bends the b axis off the grid.
+    There the right side's convolution is evaluated only on the window the
+    check reads: the carrier's u rows of the enlarged output, and its b
+    columns from the cell of the least inverse b to the one after the
+    greatest (see _affine_residual).
     """
     model = phi1.model
     if phi2.model is not model:
@@ -765,12 +800,16 @@ def _max_rel(lhs, rhs):
     return float(np.abs(lhs - rhs).max()) / scale
 
 
-def _interp_rows(values, rows, b_positions, b0, h_b):
-    """Linear interpolation along b at exact integer rows; 0 outside."""
+def _interp_rows(values, rows, b_positions, b0, h_b, first=0):
+    """Linear interpolation along b at exact integer rows; 0 outside.
+    ``values`` holds the columns from ``first`` on of a grid whose column 0
+    is at b0; they must include every column in the grid that a position
+    reads."""
     n_b = values.shape[1]
     frac = (b_positions - b0) / h_b
     lo = np.floor(frac).astype(int)
     t = frac - lo
+    lo -= first
     lo_ok = (lo >= 0) & (lo < n_b)
     hi_ok = (lo + 1 >= 0) & (lo + 1 < n_b)
     row_idx = np.broadcast_to(rows, frac.shape)
@@ -779,11 +818,26 @@ def _interp_rows(values, rows, b_positions, b0, h_b):
     return left * (1.0 - t) + right * t
 
 
+def _read_columns(model, b_positions):
+    """The columns of the enlarged b grid that _interp_rows reads at
+    ``b_positions``: from the least cell a position falls in to the one
+    after the greatest, cut to the grid."""
+    lo = np.floor((b_positions - model.out_b_centers[0]) / model.h_b).astype(int)
+    return slice(max(0, int(lo.min())), min(model.out_b_centers.size, int(lo.max()) + 2))
+
+
 def _affine_residual(model, v1, v2, ex):
     """Both sides of the reversal identity on the carrier; the u coordinate
     of every inverse lands exactly on the lattice and the b coordinate is
     read by linear interpolation (the identity concerns the underlying
-    smooth functions, so the checker avoids first-order snapping noise)."""
+    smooth functions, so the checker avoids first-order snapping noise).
+
+    The right side's convolution is evaluated only on the window of its
+    enlarged output that the interpolation reads: the carrier's u rows
+    (enlarged rows ku to 3 ku, the rows of -u_i) and the b columns from
+    the least cell that an inverse b = -e^{-u} b' falls in to one past the
+    greatest, as _interp_rows computes them.  On the h = 0.02 verify grid
+    that is 61 of 121 rows and 546 of 848 columns."""
     de = float(_delta_exponent(ex))
     inv_p = float(ex.p.inv)
     inv_p2 = float(ex.p2.inv)
@@ -796,11 +850,11 @@ def _affine_residual(model, v1, v2, ex):
     a = a * np.exp(uu * inv_p2)  # 1/Delta^(1/p2), Delta = e^{-u}
     b = _interp_rows(v1, inv_rows[:, None], binv, model.b_centers[0], model.h_b)
     b = b * np.exp(uu * inv_p)
-    conv0 = _affine_convolve(model, a, b, 0.0, enlarged=True)
-    ku = (model.n_u - 1) // 2
-    rows = 3 * ku - np.arange(model.n_u)  # enlarged row of -u_i
+    columns = _read_columns(model, binv)
+    conv0 = _affine_convolve(model, a, b, 0.0, enlarged=True, columns=columns)
+    # the window's rows are the carrier's, so -u_i is in row inv_rows[i]
     rhs = _interp_rows(
-        conv0.values, rows[:, None], binv, conv0.b_centers[0], model.h_b
+        conv0.values, inv_rows[:, None], binv, model.out_b_centers[0], model.h_b, columns.start
     )
     rhs = rhs * np.exp(uu * inv_p)  # Delta(g')^(-1/p)
     return _max_rel(lhs, rhs)

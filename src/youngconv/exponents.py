@@ -8,6 +8,7 @@ relation 1/p1 + 1/p2 = 1 + 1/p are exact whenever the inputs are rational.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -183,10 +184,23 @@ def young_p(p1, p2) -> YoungExponents:
     """Solve 1/p1 + 1/p2 = 1 + 1/p for p and return the validated triple.
 
     p comes out as exact inf when 1/p1 + 1/p2 = 1.  Raises ExponentError
-    when 1/p1 + 1/p2 < 1 (no admissible p exists).
+    when 1/p1 + 1/p2 < 1 (no admissible p exists).  A triple is immutable,
+    so one is kept for each pair of hashable arguments; an unhashable one
+    is parsed afresh, and refused, as any other argument of its type is.
     """
+    try:
+        hash((p1, p2))
+    except TypeError:
+        return _young_p(p1, p2)
+    return _young_p_kept(p1, p2)
+
+
+def _young_p(p1, p2) -> YoungExponents:
     e1, e2 = Exponent(p1), Exponent(p2)
     inv_p = e1.inv + e2.inv - 1
     if inv_p < 0:
         raise ExponentError(f"inadmissible pair ({e1}, {e2}): 1/p1 + 1/p2 < 1")
     return YoungExponents(e1, e2, Exponent.from_inverse(inv_p))
+
+
+_young_p_kept = functools.lru_cache(maxsize=256)(_young_p)

@@ -63,7 +63,8 @@ def _masked_row_sums(values, ok):
     counts = ok.sum(axis=-1)
     packed = np.take_along_axis(values, np.argsort(~ok, axis=-1, kind="stable"), axis=-1)
     out = np.zeros(counts.shape)
-    for n in np.unique(counts[counts > 0]):
+    # a sorted set, not np.unique, which imports numpy.ma on its first call
+    for n in sorted(set(counts[counts > 0].tolist())):
         rows = counts == n
         out[rows] = packed[rows, :n].sum(axis=-1)
     return out
@@ -103,7 +104,8 @@ class FiniteSubgroupPair(_CosetPair):
 
     def __init__(self, group: FiniteGroup, h_indices):
         self.group = group
-        h = np.unique(np.asarray(h_indices, dtype=int))
+        # the array np.unique gives (see _masked_row_sums)
+        h = np.array(sorted(set(np.asarray(h_indices, dtype=int).ravel().tolist())), dtype=int)
         if h.size == 0:
             raise SubgroupError("empty subgroup spec")
         if h.min() < 0 or h.max() >= group.size:

@@ -247,6 +247,34 @@ def test_affine_enlarged_dominates_window():
     assert full.truncation_mass <= window.truncation_mass + 1e-12
 
 
+@pytest.mark.parametrize("model", [
+    make_affine_group(0.02, 0.6, 0.02, 3.0),  # the verify battery's grid
+    make_affine_group(0.25, 1.0, 0.25, 2.0),
+], ids=lambda m: m.name)
+def test_affine_reversal_window_matches_the_full_enlarged_forward(model):
+    # the reversal check convolves only the enlarged rows ku..3ku and the
+    # columns its interpolation reads; a kernel cell snapped differently at
+    # an exact cell edge would move whole entries, far past 1e-13
+    rng = np.random.default_rng(19)
+    a, b = rng.random(model.shape), rng.random(model.shape)
+    uu = model.u_centers[:, None]
+    binv = -np.exp(-uu) * model.b_centers[None, :]
+    columns = convolution._read_columns(model, binv)
+    ku = (model.n_u - 1) // 2
+    full = convolution._affine_convolve(model, a, b, 0.0, enlarged=True)
+    window = convolution._affine_convolve(model, a, b, 0.0, enlarged=True, columns=columns)
+    assert window.values.shape == (model.n_u, columns.stop - columns.start)
+    np.testing.assert_array_equal(window.b_centers, model.out_b_centers[columns])
+    _assert_close_to_reference(window.values, full.values[ku : 3 * ku + 1, columns])
+    inv_rows = np.arange(model.n_u)[::-1]
+    b0, h_b = model.out_b_centers[0], model.h_b
+    rhs_full = convolution._interp_rows(full.values, ku + inv_rows[:, None], binv, b0, h_b)
+    rhs_window = convolution._interp_rows(
+        window.values, inv_rows[:, None], binv, b0, h_b, columns.start
+    )
+    _assert_close_to_reference(rhs_window, rhs_full)
+
+
 def _random_dual(psi, rng):
     """A dual function on the convolution's own domain, with random values."""
     w = psi.dual_power(1.0)

@@ -60,6 +60,22 @@ def test_young_p_rejects_inadmissible():
         young_p("inf", 2)
 
 
+def test_young_p_keeps_one_triple_per_hashable_pair():
+    ex = young_p("4/3", "3/2")
+    assert young_p("4/3", "3/2") is ex
+    assert young_p(Fraction(4, 3), 1.5) == ex
+    for _ in range(2):  # a refusal is not kept
+        with pytest.raises(ExponentError):
+            young_p(3, 3)
+
+
+@pytest.mark.parametrize("p1, p2", [([1], 2), (2, {"p": 2}), ([4, 3], [3, 2])])
+def test_young_p_refuses_unhashable_arguments_as_exponents(p1, p2):
+    # an ExponentError, not the TypeError of an unhashable cache key
+    with pytest.raises(ExponentError):
+        young_p(p1, p2)
+
+
 def test_triple_validation():
     YoungExponents("4/3", "4/3", 2)
     with pytest.raises(ExponentError):

@@ -1,10 +1,13 @@
 import json
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import youngconv
 from youngconv.chain import build_coset_functionals, chain_check, identity_checks
 from youngconv.exponents import young_p
 from youngconv.groups import GroupFunction
@@ -115,3 +118,18 @@ def test_chain_table_memory_does_not_grow_with_seeds():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 2 * peaks[0], peaks
+
+
+def test_verify_battery_does_not_import_numpy_ma():
+    # numpy.ma takes about 20 ms to import (python -X importtime), and
+    # np.unique loads it on its first call
+    src = str(Path(youngconv.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "from youngconv.verify import run_battery; "
+        "run_battery(seeds=1, proof_seeds=1, with_estimates=False); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
