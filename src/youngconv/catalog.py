@@ -123,7 +123,7 @@ class CatalogReport:
         self.violations.append(CatalogViolation(entry, kind, detail))
 
 
-def catalog_consistency_check(catalog, ex: YoungExponents = None) -> CatalogReport:
+def catalog_consistency_check(catalog, ex: YoungExponents) -> CatalogReport:
     """Verify per-entry invariants, link additivity, and bound ordering.
 
     Checks, for every entry: 0 <= r <= dim; compact implies r = dim; for
@@ -131,10 +131,6 @@ def catalog_consistency_check(catalog, ex: YoungExponents = None) -> CatalogRepo
     entries the max-compact bound is <= 1 and any exact value stays below
     it (within 1e-12).  Unresolved link names are reported, not fatal.
     """
-    from .exponents import young_p
-
-    if ex is None:
-        ex = young_p("4/3", "4/3")
     by_name = {d.name: d for d in catalog}
     report = CatalogReport()
     for desc in catalog:

@@ -206,11 +206,16 @@ class CheckReport:
         return f"{self.name}: residual {self.residual:.3e} (tol {self.tolerance:.1e}) {flag}"
 
 
-def _check(name, rows, tol):
-    return CheckReport(name, float(np.max(rows)), tol, np.asarray(rows))
+# the tolerance of every identity and chain step: their residuals are float
+# roundoff of exact identities and inequalities on finite groups
+TOL = 1e-10
 
 
-def identity_checks(po: ChainObjects, tol: float = 1e-10):
+def _check(name, rows):
+    return CheckReport(name, float(np.max(rows)), TOL, np.asarray(rows))
+
+
+def identity_checks(po: ChainObjects):
     """The exact integral identities of the coset functionals.
 
     * sum_x m_x S(x) = ||phi1||_p1^p1 (= 1)
@@ -221,10 +226,10 @@ def identity_checks(po: ChainObjects, tol: float = 1e-10):
     """
     m = po.pair.coset_measure
     return [
-        _check("S-integral", np.abs(_mat_vec(m, po.S) - 1.0), tol),
-        _check("T-integral", _tail_max(np.abs(po.T @ m - 1.0), 1), tol),
-        _check("U-integral", _tail_max(np.abs(m @ po.U - 1.0), 1), tol),
-        _check("convolution-decomposition", _decomposition_residual(po), tol),
+        _check("S-integral", np.abs(_mat_vec(m, po.S) - 1.0)),
+        _check("T-integral", _tail_max(np.abs(po.T @ m - 1.0), 1)),
+        _check("U-integral", _tail_max(np.abs(m @ po.U - 1.0), 1)),
+        _check("convolution-decomposition", _decomposition_residual(po)),
     ]
 
 
@@ -293,7 +298,7 @@ class ChainReport:
         return None
 
 
-def chain_check(po: ChainObjects, y_h: float = 1.0, tol: float = 1e-10) -> ChainReport:
+def chain_check(po: ChainObjects, y_h: float = 1.0) -> ChainReport:
     """Assert every intermediate inequality of the subgroup bound in order.
 
     ``y_h`` must be an exact or certified value of the optimal constant of
@@ -311,25 +316,25 @@ def chain_check(po: ChainObjects, y_h: float = 1.0, tol: float = 1e-10) -> Chain
     lhs_mink = np.sum(fx**pf, axis=-2)  # per x'
     inner = np.sum(po.F**pf, axis=-2) ** (1.0 / pf)  # (..., nx, nx')
     rhs_mink = (m @ inner) ** pf
-    report.steps.append(_check("minkowski", _violation(lhs_mink, rhs_mink, 1), tol))
+    report.steps.append(_check("minkowski", _violation(lhs_mink, rhs_mink, 1)))
 
     # Young on H, fiberwise: (sum_h' F^p)^(1/p) <= y_h S^(1/p1) ||t u||_{p2,H}
     rhs_young = y_h * s_col ** (1.0 / p1f) * po.tu_norm
-    report.steps.append(_check("young-on-H", _violation(inner, rhs_young, 2), tol))
+    report.steps.append(_check("young-on-H", _violation(inner, rhs_young, 2)))
 
     # Hoelder step 1: ||t u||_{p2,H} <= T^(1/p) U^(1/p1')
     rhs_h1 = po.T ** (1.0 / pf) * po.U**inv_p1c
-    report.steps.append(_check("holder-H", _violation(po.tu_norm, rhs_h1, 2), tol))
+    report.steps.append(_check("holder-H", _violation(po.tu_norm, rhs_h1, 2)))
 
     # Hoelder step 2 on X, per x' (unit norms):
     # (sum_x m S^(1/p1) T^(1/p) U^(1/p1'))^p <= sum_x m S T
     lhs_h2 = (m @ (s_col ** (1.0 / p1f) * po.T ** (1.0 / pf) * po.U**inv_p1c)) ** pf
     rhs_h2 = m @ (s_col * po.T)
-    report.steps.append(_check("holder-X", _violation(lhs_h2, rhs_h2, 1), tol))
+    report.steps.append(_check("holder-X", _violation(lhs_h2, rhs_h2, 1)))
 
     # final contraction: sum_x' m sum_x m S T = sum_x m S = 1
     total = _mat_vec(m, (s_col * po.T) @ m)
-    report.steps.append(_check("contraction", np.abs(total - 1.0), tol))
+    report.steps.append(_check("contraction", np.abs(total - 1.0)))
 
     # end to end: ||psi||_p^p = sum_x' m delta(rep') sum_h' psi(h' rep')^p,
     # and psi(h' g')^p = (m @ F)^p / delta(g'), so the delta factors cancel
@@ -338,13 +343,9 @@ def chain_check(po: ChainObjects, y_h: float = 1.0, tol: float = 1e-10) -> Chain
     report.end_to_end_lhs = _scalar_or_rows(lhs)
     report.end_to_end_bound = y_h
     report.direct_norm = _scalar_or_rows(direct)
-    report.steps.append(_check("end-to-end", np.maximum(0.0, lhs - y_h), tol))
+    report.steps.append(_check("end-to-end", np.maximum(0.0, lhs - y_h)))
     report.steps.append(
-        _check(
-            "decomposed-vs-direct",
-            np.abs(lhs - direct) / np.maximum(direct, 1e-300),
-            tol,
-        )
+        _check("decomposed-vs-direct", np.abs(lhs - direct) / np.maximum(direct, 1e-300))
     )
     return report
 

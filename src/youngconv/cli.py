@@ -273,8 +273,8 @@ def cmd_catalog(args) -> int:
             )
         )
     payload = {
-        "p1": args.p1,
-        "p2": args.p2,
+        "p1": str(ex.p1),
+        "p2": str(ex.p2),
         "entries": entries,
         "violations": [str(v) for v in report.violations],
         "consistent": report.ok,

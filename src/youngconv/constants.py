@@ -55,7 +55,8 @@ def product_bound(y_sub: float, y_quot: float) -> float:
 
 
 def neg_log_constant(y: float) -> float:
-    """-ln(y) for y in (0, 1]; additive under product_bound."""
+    """-ln(y) for y in (0, 1]; additive under product_bound.  Exactly +0.0
+    at y = 1 (negating ln 1 = 0.0 would give -0.0)."""
     if not (0 < y <= 1):
         raise ValueError(f"constant must lie in (0, 1], got {y}")
-    return -math.log(y)
+    return 0.0 - math.log(y)

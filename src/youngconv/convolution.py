@@ -403,18 +403,16 @@ def _delta_exponent(ex: YoungExponents):
 
 
 def twisted_convolve(
-    phi1: GroupFunction, phi2: GroupFunction, ex: YoungExponents, enlarged: bool = True
+    phi1: GroupFunction, phi2: GroupFunction, ex: YoungExponents
 ) -> ConvolutionResult:
-    """phi1 * (phi2 Delta^(1/p1')) evaluated per model kind.
-
-    ``enlarged`` keeps the full support of the result (always the case for
-    the exact abelian paths); setting it False on the affine grid evaluates
-    only on the base window, the fast path used inside estimator loops.
+    """phi1 * (phi2 Delta^(1/p1')) evaluated per model kind, on the full
+    support of the result: on the affine grid that is the enlarged b
+    window, where the certified ratio is read.
     """
     if phi1.model is not phi2.model:
         raise GroupModelError("convolution inputs live on different models")
     de = float(_delta_exponent(ex))
-    return _convolve(phi1.model, phi1.values, phi2.values, de, enlarged)
+    return _convolve(phi1.model, phi1.values, phi2.values, de)
 
 
 def _convolve(model, v1, v2, de, enlarged=True):
@@ -713,9 +711,7 @@ def lp_norm(obj, p) -> float:
     raise TypeError(f"cannot take an Lp norm of {type(obj).__name__}")
 
 
-def young_ratio(
-    phi1: GroupFunction, phi2: GroupFunction, ex: YoungExponents, enlarged: bool = True
-) -> float:
+def young_ratio(phi1: GroupFunction, phi2: GroupFunction, ex: YoungExponents) -> float:
     """||phi1 * (phi2 Delta^(1/p1'))||_p / (||phi1||_p1 ||phi2||_p2).
 
     Scale invariant in each argument.  On finite groups and the abelian
@@ -724,20 +720,21 @@ def young_ratio(
     optimal constant of the represented group, up to the truncation
     diagnostics of the model.  The affine grid sums its u rows as lattice
     points and snaps the dilated b axis, so an affine value is a grid
-    diagnostic and can exceed the group's constant.  Inputs are normalized
-    before convolving so large values cannot overflow.
+    diagnostic and can exceed the group's constant.  The convolution keeps
+    its full support, the enlarged b window on the affine grid.  Inputs are
+    normalized before convolving so large values cannot overflow.
     """
-    return _normalized_convolve(phi1, phi2, ex, enlarged).lp_norm(ex.p)
+    return _normalized_convolve(phi1, phi2, ex).lp_norm(ex.p)
 
 
-def _normalized_convolve(phi1, phi2, ex, enlarged=True) -> ConvolutionResult:
+def _normalized_convolve(phi1, phi2, ex) -> ConvolutionResult:
     """The convolution whose p-norm young_ratio returns."""
     n1 = lp_norm(phi1, ex.p1)
     n2 = lp_norm(phi2, ex.p2)
     if n1 == 0.0 or n2 == 0.0:
         raise ValueError("young_ratio needs nonzero functions")
     de = float(_delta_exponent(ex))
-    return _convolve(phi1.model, phi1.values / n1, phi2.values / n2, de, enlarged)
+    return _convolve(phi1.model, phi1.values / n1, phi2.values / n2, de)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exponents import Exponent, YoungExponents
-from .groups import AffineModel, GroupFunction, GroupModel, GroupModelError
+from .groups import GroupFunction, GroupModel, GroupModelError
 from .convolution import (
     _convolve,
     _delta_exponent,
@@ -391,20 +391,21 @@ def _gaussian_log_ratio(ex, log_s1, log_s2):
     return log_num - log_norm(s1, p1f) - log_norm(s2, p2f)
 
 
-def gaussian_ansatz(ex: YoungExponents, width_bounds=(1e-3, 1e3)):
+def gaussian_ansatz(ex: YoungExponents):
     """Best Young ratio over centered Gaussian pairs on R, in closed form.
 
     Uses exact Gaussian Lp norms and width addition under convolution (no
     grids anywhere), maximized by derivative-free Nelder-Mead over the two
-    log widths.  For interior triples the maximum equals the closed-form
-    constant of R, which makes this an independent cross-check of it.
+    log widths, each width held to [1e-3, 1e3].  For interior triples the
+    maximum equals the closed-form constant of R, which makes this an
+    independent cross-check of it.
     Returns (ratio, s1, s2).
     """
     if not ex.interior:
         raise ValueError("gaussian ansatz needs an interior triple")
     from scipy.optimize import minimize  # deferred: slow to import, used only here
 
-    lo, hi = math.log(width_bounds[0]), math.log(width_bounds[1])
+    lo, hi = math.log(1e-3), math.log(1e3)
 
     def objective(ls):
         ls = np.clip(ls, lo, hi)
@@ -425,8 +426,9 @@ def gaussian_ansatz(ex: YoungExponents, width_bounds=(1e-3, 1e3)):
 # boundary witnesses
 
 
-def boundary_witness(model: GroupModel, ex: YoungExponents, phi=None):
-    """The saturating pair for 1/p1 + 1/p2 = 1 built from a mass-1 bump phi:
+def boundary_witness(model: GroupModel, ex: YoungExponents):
+    """The saturating pair for 1/p1 + 1/p2 = 1 built from the model's
+    default bump phi, scaled to mass 1:
 
         phi1 = phi^(1/p1),   phi2 = (phi(g^-1) / Delta(g))^(1/p2)
 
@@ -438,13 +440,8 @@ def boundary_witness(model: GroupModel, ex: YoungExponents, phi=None):
     if not ex.p.is_inf:
         raise ValueError("witness construction needs 1/p1 + 1/p2 = 1")
     inv1, inv2 = float(ex.p1.inv), float(ex.p2.inv)
-    vals = model.default_bump() if phi is None else np.asarray(phi, dtype=float)
-    if isinstance(model, AffineModel) and phi is None:
-        # inversion bends b off the grid; the default bump's phi(g^-1) is
-        # exact in closed form, where cell lookup would be O(h) off
-        inv_vals = model.default_bump(-np.exp(-model.u_centers[:, None]) * model.b_centers)
-    else:
-        inv_vals = model.invert(vals)
+    vals = model.default_bump()
+    inv_vals = model.inverted_default_bump()
     mass = float(np.sum(model.weight * vals))
     vals, inv_vals = vals / mass, inv_vals / mass
     delta = model.delta

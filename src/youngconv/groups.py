@@ -91,6 +91,10 @@ class GroupModel:
         idx = np.arange(self.size, dtype=float).reshape(self.shape)
         return 1.0 + 0.5 * np.cos(2.0 * np.pi * idx / self.size)
 
+    def inverted_default_bump(self):
+        """The default bump at g^-1, as the boundary witness reads it."""
+        return self.invert(self.default_bump())
+
     def __repr__(self):
         return f"<{type(self).__name__} {self.name} ({self.size} cells)>"
 
@@ -435,28 +439,35 @@ class AffineModel(GroupModel):
         inside = (iu >= 0) & (ib >= 0)
         return np.where(inside, values[np.clip(iu, 0, None), np.clip(ib, 0, None)], 0.0)
 
+    def gaussian(self, cu, cb, su, sb, b=None):
+        """The Gaussian centered at (cu, cb) with widths (su, sb), at the
+        carrier's rows and at b-coordinates ``b`` (default: the cell
+        centers)."""
+        uu = self.u_centers[:, None]
+        bb = self.b_centers[None, :] if b is None else b
+        return np.exp(-((uu - cu) ** 2) / (2 * su * su) - ((bb - cb) ** 2) / (2 * sb * sb))
+
     def random_start(self, rng):
         noise = super().random_start(rng)
-        uu = self.u_centers[:, None]
-        bb = self.b_centers[None, :]
         cu = rng.uniform(-0.2, 0.2) * self.u_half_width
         cb = rng.uniform(-0.2, 0.2) * self.b_half_width
         su = rng.uniform(0.2, 0.5) * self.u_half_width
         sb = rng.uniform(0.2, 0.5) * self.b_half_width
-        env = np.exp(-((uu - cu) ** 2) / (2 * su * su) - ((bb - cb) ** 2) / (2 * sb * sb))
-        return noise * env
+        return noise * self.gaussian(cu, cb, su, sb)
 
     def default_bump(self, b=None):
-        """Gaussian bump at the carrier's rows, evaluated at b-coordinates
-        ``b`` (default: the cell centers).  Its inverse stays inside the
-        window: inversion stretches b-support by e^U, so the b width budget
-        shrinks by that.  The bump is even in u, so phi(g^-1) is exactly
-        ``default_bump(-exp(-u) b)``."""
-        uu = self.u_centers[:, None]
-        bb = self.b_centers[None, :] if b is None else b
+        """Centered Gaussian bump at b-coordinates ``b`` (default: the cell
+        centers).  Its inverse stays inside the window: inversion stretches
+        b-support by e^U, so the b width budget shrinks by that."""
         su = 0.3 * self.u_half_width
         sb = 0.28 * self.b_half_width * math.exp(-self.u_half_width)
-        return np.exp(-(uu**2) / (2 * su * su) - (bb**2) / (2 * sb * sb))
+        return self.gaussian(0.0, 0.0, su, sb, b)
+
+    def inverted_default_bump(self):
+        """The bump is even in u, so phi(g^-1) is exactly
+        ``default_bump(-exp(-u) b)``; cell lookup would be O(h) off, since
+        inversion bends b off the grid."""
+        return self.default_bump(-np.exp(-self.u_centers[:, None]) * self.b_centers)
 
 
 def make_affine_group(h_u, u_half_width, h_b, b_half_width) -> AffineModel:

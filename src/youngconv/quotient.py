@@ -165,11 +165,7 @@ class _AffinePair(_CosetPair):
 
     def _reference_bump(self):
         m = self.group
-        uu = m.u_centers[:, None]
-        bb = m.b_centers[None, :]
-        su = 0.4 * m.u_half_width
-        sb = self._bump_b * m.b_half_width
-        return np.exp(-(uu**2) / (2 * su * su) - (bb**2) / (2 * sb * sb))
+        return m.gaussian(0.0, 0.0, 0.4 * m.u_half_width, self._bump_b * m.b_half_width)
 
     def _delta_at(self, rows, cols):
         """delta at the cells (rows, cols) of the grid; 1 outside it."""
@@ -211,10 +207,10 @@ class AffineDilationPair(_AffinePair):
     kind = "affine_dilations"
     _bump_b = 0.25
 
-    def __init__(self, model: AffineModel, h_c=None):
+    def __init__(self, model: AffineModel):
         self.group = model
         self.delta = np.ones_like(model.delta)
-        self.h_c = float(h_c) if h_c is not None else model.h_b
+        self.h_c = model.h_b  # ray spacing
         reach = model.b_half_width * math.exp(model.u_half_width)
         kc = int(math.ceil(reach / self.h_c))
         self.c_centers = (np.arange(2 * kc) - kc + 0.5) * self.h_c
@@ -234,7 +230,7 @@ class AffineDilationPair(_AffinePair):
         return m.h_u * _masked_row_sums(picked, ok), self._delta_at(m.u_index(u), m.b_index(b))
 
 
-def build_subgroup_pair(group, h_spec, **kwargs):
+def build_subgroup_pair(group, h_spec):
     """Construct the coset data for a subgroup of ``group``.
 
     ``h_spec`` is a list of carrier indices for finite groups, or one of
@@ -247,7 +243,7 @@ def build_subgroup_pair(group, h_spec, **kwargs):
         if h_spec == "translations":
             return AffineTranslationPair(group)
         if h_spec == "dilations":
-            return AffineDilationPair(group, **kwargs)
+            return AffineDilationPair(group)
         raise SubgroupError(
             f"affine subgroups are 'translations' or 'dilations', got {h_spec!r}"
         )
@@ -264,10 +260,10 @@ def left_invariance_check(pair, phi: GroupFunction, h_element) -> float:
     return pair.invariance_residual(phi, h_element)
 
 
-def corrupt_delta(pair, factor=1.1):
+def corrupt_delta(pair):
     """Deterministically corrupted copy of a pair (negative-control tests).
 
-    The factor multiplies delta on part of the carrier, chosen so that the
+    A factor 1.1 multiplies delta on part of the carrier, chosen so that the
     corruption is not constant on cosets and must break the invariances:
     every other element of a finite group, and on the affine grid the cells
     on or above the diagonal b = u.  That half-plane cuts each u row (the
@@ -278,6 +274,7 @@ def corrupt_delta(pair, factor=1.1):
     """
     import copy
 
+    factor = 1.1
     bad = copy.copy(pair)
     bad.delta = pair.delta.copy()
     if isinstance(pair, FiniteSubgroupPair):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import builtin_catalog, catalog_consistency_check
-from .chain import build_coset_functionals, chain_check, identity_checks
+from .chain import TOL as CHAIN_TOL, build_coset_functionals, chain_check, identity_checks
 from .constants import beckner_Y_Rn
 from .convolution import transform_identity_check, young_ratio
 from .estimator import EstimatorConfig, monotonicity_audit
@@ -72,13 +72,11 @@ def _affine_small():
 
 
 def _affine_bump(model, rng):
-    uu = model.u_centers[:, None]
-    bb = model.b_centers[None, :]
     cu = rng.uniform(-0.08, 0.08)
     cb = rng.uniform(-0.15, 0.15)
     su = rng.uniform(0.22, 0.3)
     sb = rng.uniform(0.45, 0.6)
-    return np.exp(-((uu - cu) ** 2) / (2 * su * su) - ((bb - cb) ** 2) / (2 * sb * sb))
+    return model.gaussian(cu, cb, su, sb)
 
 
 def _finite_pairs(corrupt=None):
@@ -130,7 +128,6 @@ def run_battery(
     proof_seeds: int = 10,
     corrupt: str = None,
     with_estimates: bool = True,
-    estimator_cfg: EstimatorConfig = None,
 ):
     """Run the full battery; returns (items, all_passed)."""
     rng = np.random.default_rng(20240801)
@@ -205,10 +202,7 @@ def run_battery(
     )
     # the dilation fiber lives on the log-scale window, so its invariance
     # needs a profile that dies out before the shifted window ends
-    narrow = np.exp(
-        -(aff.u_centers[:, None] ** 2) / (2 * 0.13**2)
-        - (aff.b_centers[None, :] ** 2) / (2 * 0.5**2)
-    )
+    narrow = aff.gaussian(0.0, 0.0, 0.13, 0.5)
     items.append(
         BatteryItem(
             "invariance-affine-dilations",
@@ -226,11 +220,11 @@ def run_battery(
         BatteryItem(
             "chain-identities",
             worst_id,
-            1e-10,
+            CHAIN_TOL,
             detail=f"{proof_seeds} seeds x 3 pairs x 3 triples",
         )
     )
-    items.append(BatteryItem("chain-inequalities", worst_step, 1e-10))
+    items.append(BatteryItem("chain-inequalities", worst_step, CHAIN_TOL))
 
     # 5. classical bound on random draws
     worst = 0.0
@@ -246,7 +240,7 @@ def run_battery(
 
     # 6. monotonicity audit (estimates against subgroup references)
     if with_estimates:
-        cfg = estimator_cfg or EstimatorConfig(restarts=3, max_iters=60, tol=1e-8)
+        cfg = EstimatorConfig(restarts=3, max_iters=60, tol=1e-8)
         y1 = beckner_Y_Rn("4/3", "4/3", 1)
         entries = [
             {
@@ -310,8 +304,8 @@ def proof_chain_table(seeds: int = 100, corrupt: str = None):
                     "p2": p2,
                     "step": label,
                     "worst_residual": float(value),
-                    "tolerance": 1e-10,
-                    "passed": bool(value <= 1e-10),
+                    "tolerance": CHAIN_TOL,
+                    "passed": bool(value <= CHAIN_TOL),
                 }
             )
     return rows, all(r["passed"] for r in rows)

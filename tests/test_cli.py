@@ -38,6 +38,17 @@ def test_exact_boundary():
     assert "boundary" in proc.stdout
 
 
+def test_exact_boundary_writes_no_negative_zero(capsys):
+    argv = ["exact", "--p1", "2", "--p2", "2", "--group", "affine_R"]
+    assert main(argv + ["--format", "json"]) == 0
+    blob = capsys.readouterr().out
+    payload = json.loads(blob)
+    assert payload["neg_log_Y_R1"] == 0.0 and payload["group"]["neg_log_exact"] == 0.0
+    assert "-0.0" not in blob
+    assert main(argv) == 0
+    assert "-ln = 0.0000000000" in capsys.readouterr().out
+
+
 def test_exit_code_bad_exponents():
     assert _run(["exact", "--p1", "1/2", "--p2", "2"]).returncode == 2
     assert _run(["estimate", "--group", "Zmod:8", "--p1", "junk", "--p2", "2"]).returncode == 2
@@ -154,6 +165,15 @@ def test_catalog_command(tmp_path):
     assert payload["consistent"] is True
     names = {e["name"] for e in payload["entries"]}
     assert "sl2_R" in names
+
+
+def test_catalog_writes_canonical_exponents(capsys):
+    blobs = []
+    for spelling in ("1.5", "3/2"):
+        assert main(["catalog", "--p1", spelling, "--p2", spelling, "--format", "json"]) == 0
+        blobs.append(capsys.readouterr().out)
+    assert blobs[0] == blobs[1]
+    assert json.loads(blobs[0])["p1"] == "3/2"
 
 
 def test_report_roundtrip(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,7 @@ def test_product_bound_and_neg_log():
     assert product_bound(1.0, 0.5) == 0.5
     np.testing.assert_allclose(neg_log_constant(y), NEG_LOG_Y, rtol=1e-12)
     assert neg_log_constant(1.0) == 0.0
+    assert math.copysign(1.0, neg_log_constant(1.0)) == 1.0  # +0.0, not -0.0
     np.testing.assert_allclose(
         neg_log_constant(product_bound(y, 0.9)),
         neg_log_constant(y) + neg_log_constant(0.9),

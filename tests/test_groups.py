@@ -265,3 +265,53 @@ def test_group_table_file(tmp_path):
     path.write_text(json.dumps({"table": z4.table.tolist(), "extra": 1}))
     with pytest.raises(GroupModelError):
         load_group_table(path)
+
+
+@pytest.mark.parametrize("model", [
+    make_affine_group(0.02, 0.6, 0.02, 3.0),  # the verify battery's grid
+    make_affine_group(0.25, 1.0, 0.25, 2.0),
+], ids=lambda m: m.name)
+def test_affine_gaussian_reproduces_the_bumps_it_replaced(model):
+    # each reference is the expression its caller wrote out by hand before
+    # AffineModel.gaussian existed; every one must come back bit for bit
+    from youngconv.quotient import build_subgroup_pair
+    from youngconv.verify import _affine_bump
+
+    uu = model.u_centers[:, None]
+    bb = model.b_centers[None, :]
+    big_u, big_b = model.u_half_width, model.b_half_width
+
+    su, sb = 0.3 * big_u, 0.28 * big_b * math.exp(-big_u)
+    want = np.exp(-(uu**2) / (2 * su * su) - (bb**2) / (2 * sb * sb))
+    assert np.array_equal(model.default_bump(), want)
+    binv = -np.exp(-model.u_centers[:, None]) * model.b_centers
+    want = np.exp(-(uu**2) / (2 * su * su) - (binv**2) / (2 * sb * sb))
+    assert np.array_equal(model.default_bump(binv), want)
+    assert np.array_equal(model.inverted_default_bump(), want)
+
+    rng = np.random.default_rng(5)
+    noise = 0.25 + rng.random(model.shape)
+    cu = rng.uniform(-0.2, 0.2) * big_u
+    cb = rng.uniform(-0.2, 0.2) * big_b
+    su = rng.uniform(0.2, 0.5) * big_u
+    sb = rng.uniform(0.2, 0.5) * big_b
+    env = np.exp(-((uu - cu) ** 2) / (2 * su * su) - ((bb - cb) ** 2) / (2 * sb * sb))
+    assert np.array_equal(model.random_start(np.random.default_rng(5)), noise * env)
+
+    for spec, bump_b in (("translations", 0.4), ("dilations", 0.25)):
+        su, sb = 0.4 * big_u, bump_b * big_b
+        want = np.exp(-(uu**2) / (2 * su * su) - (bb**2) / (2 * sb * sb))
+        assert np.array_equal(build_subgroup_pair(model, spec)._reference_bump(), want)
+
+    rng = np.random.default_rng(7)
+    cu, cb = rng.uniform(-0.08, 0.08), rng.uniform(-0.15, 0.15)
+    su, sb = rng.uniform(0.22, 0.3), rng.uniform(0.45, 0.6)
+    want = np.exp(-((uu - cu) ** 2) / (2 * su * su) - ((bb - cb) ** 2) / (2 * sb * sb))
+    assert np.array_equal(_affine_bump(model, np.random.default_rng(7)), want)
+
+    # the verify battery's narrow profile for the dilation invariance
+    want = np.exp(
+        -(model.u_centers[:, None] ** 2) / (2 * 0.13**2)
+        - (model.b_centers[None, :] ** 2) / (2 * 0.5**2)
+    )
+    assert np.array_equal(model.gaussian(0.0, 0.0, 0.13, 0.5), want)
