@@ -49,8 +49,7 @@ for name, pair in pairs:
 
 print("\n== and on the continuum affine grid ==")
 aff = make_affine_group(0.02, 0.6, 0.02, 3.0)
-uu, bb = aff.u_centers[:, None], aff.b_centers[None, :]
-phi = GroupFunction(aff, np.exp(-(uu**2) / (2 * 0.25**2) - bb**2 / (2 * 0.5**2)))
+phi = GroupFunction(aff, aff.gaussian(0.0, 0.0, 0.25, 0.5))
 tpair = build_subgroup_pair(aff, "translations")
 dpair = build_subgroup_pair(aff, "dilations")
 print(f"  translations: weil {weil_decompose_check(tpair, phi):.2e}, "

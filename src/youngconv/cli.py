@@ -178,6 +178,11 @@ def _build_model(selector: str):
     return build(*(kind(given[key]) if key in given else defaults[key] for key in keys))
 
 
+def _boundary_line(payload):
+    """The text line of an estimate payload for a boundary triple."""
+    return f"{payload['group']}: boundary triple, optimal constant 1"
+
+
 def cmd_estimate(args) -> int:
     ex = young_p(args.p1, args.p2)
     model = _build_model(args.group)
@@ -189,7 +194,7 @@ def cmd_estimate(args) -> int:
             "p": str(ex.p),
             "boundary_value": 1.0,
         }
-        _emit(payload, args, [f"{model.name}: boundary triple, optimal constant 1"])
+        _emit(payload, args, [_boundary_line(payload)])
         if args.csv:
             _write_csv(args.csv, [payload])
         return EXIT_OK
@@ -291,23 +296,24 @@ def cmd_catalog(args) -> int:
 def cmd_report(args) -> int:
     with open(args.input, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    lines = [
-        f"group: {payload['group']}",
-        f"exponents: p1={payload['exponents']['p1']} p2={payload['exponents']['p2']} "
-        f"p={payload['exponents']['p']}",
-        f"lower bound: {payload['lower_bound']:.6f}",
-        f"restarts: {payload['restarts']}  best: {payload['best_restart']}  "
-        f"converged: {payload['converged']}",
-        f"truncation mass: {payload['truncation_mass']:.3e}",
-        "upper references: "
-        + ", ".join(
-            f"{r['source']}={r['value']:.6f}" for r in payload["upper_bound_refs"]
-        ),
-    ]
-    rows = [
-        [idx, trace[-1] if trace else math.nan]
-        for idx, trace in enumerate(payload.get("ratio_trace", []))
-    ]
+    if set(payload) == {"group", "p1", "p2", "p", "boundary_value"}:  # a boundary triple
+        lines, traces = [_boundary_line(payload)], []
+    else:
+        lines = [
+            f"group: {payload['group']}",
+            f"exponents: p1={payload['exponents']['p1']} p2={payload['exponents']['p2']} "
+            f"p={payload['exponents']['p']}",
+            f"lower bound: {payload['lower_bound']:.6f}",
+            f"restarts: {payload['restarts']}  best: {payload['best_restart']}  "
+            f"converged: {payload['converged']}",
+            f"truncation mass: {payload['truncation_mass']:.3e}",
+            "upper references: "
+            + ", ".join(
+                f"{r['source']}={r['value']:.6f}" for r in payload["upper_bound_refs"]
+            ),
+        ]
+        traces = payload.get("ratio_trace", [])
+    rows = [[idx, trace[-1] if trace else math.nan] for idx, trace in enumerate(traces)]
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["restart", "final_ratio"])
@@ -378,7 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="re-render a saved estimate report")
     p_rep.add_argument("--input", required=True)
-    p_rep.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    p_rep.add_argument("--format", choices=["text", "json", "csv"], default="text",
+                       help="csv final_ratio: each restart's last accepted loop ratio "
+                       "in ratio_trace, not estimate --csv's certified ratio")
     p_rep.set_defaults(func=cmd_report, source="input")
 
     return parser

@@ -3,6 +3,8 @@
 The twisted convolution is phi1 * (phi2 Delta^(1/p1')), the Delta-corrected
 convolution whose Lp bound defines the optimal constant on non-unimodular
 groups; the Delta power is skipped exactly when p1 = 1 (exponent 0).
+The other kinds are unimodular: their kernels take no Delta factor and
+share one reversal residual, so only the affine code does Delta arithmetic.
 
 On the abelian step grids the convolution of two step functions is
 evaluated exactly as a piecewise-(bi)linear function, and Lp norms of those
@@ -35,11 +37,11 @@ forward's own kernel rows, so it multiplies their spectra by the conjugate
 of the dual's spectrum and reads the lags below n_b, which do not wrap.
 B* samples each inverse at dilated positions across the whole
 correlation, so it keeps the full length and one inverse per output row.
-The reversal check reads its right side's enlarged convolution only at
-the carrier's u rows and at the b columns that the inverses -e^{-u} b
-reach, so it convolves only that window, with kernel columns sliced from
-the enlarged output's own table so that every kernel cell is the one the
-whole enlarged output uses.
+The affine reversal check reads its right side's enlarged convolution
+only at the carrier's u rows and at the b columns that the inverses
+-e^{-u} b reach, so it convolves only that window, with kernel columns
+sliced from the enlarged output's own table so that every kernel cell is
+the one the whole enlarged output uses.
 
 The kernel rows depend on phi2 alone, and the estimator's loop convolves
 with one phi2 many times, so it runs its ascent inside
@@ -230,6 +232,10 @@ class ConvolutionResult:
         """The Lp norm: a float, or one per function of a stack."""
         raise NotImplementedError
 
+    def inverted_values(self):
+        """The values at the inverses of the output's own points."""
+        return self.model.invert(self.values)  # symmetric outputs
+
     def dual_power(self, exponent: float) -> "ConvolutionResult":
         """Same domain, values raised entrywise to a positive power."""
         clone = self.__class__.__new__(self.__class__)
@@ -260,6 +266,9 @@ class AffineConvolution(CellConvolution):
         self.u_points = u_points
         self.b_centers = b_centers
         self._operands = (v1, v2, de, values)
+
+    def inverted_values(self):
+        raise NotImplementedError("affine inversion leaves the grid; see _affine_residual")
 
     @functools.cached_property
     def truncation_mass(self):
@@ -300,6 +309,10 @@ class TorusPWL(ConvolutionResult):
 
     def lp_norm(self, p):
         return _pwl_norm(self.model, self.values, self.h, _pf(p), cyclic=True)
+
+    def inverted_values(self):
+        # circle inversion maps edge knot k to edge knot -k mod n
+        return np.roll(self.values[::-1], 1)
 
 
 class PlanePWL(ConvolutionResult):
@@ -450,15 +463,12 @@ def _plane_convolve(model, v1, v2, de, enlarged):
     return PlanePWL(model, -2.0 * model.half_width, model.h, knots)
 
 
-def _finite_kernel(model: FiniteGroup, v2, de):
-    """kernel[i, k] = phi2(g_i^-1 g_k) Delta(g_i^-1 g_k)^de."""
+def _finite_kernel(model: FiniteGroup, v2):
+    """kernel[i, k] = phi2(g_i^-1 g_k); finite groups are unimodular."""
     lookup = getattr(model, "_conv_index", None)
     if lookup is None:
         lookup = model._conv_index = model.table[model.inv, :]
-    kernel = np.take(v2, lookup, axis=-1)  # C order, as for one function
-    if de != 0.0:
-        kernel = kernel * model.delta[lookup] ** de
-    return kernel
+    return np.take(v2, lookup, axis=-1)  # C order, as for one function
 
 
 def _vec_mat(v, m):
@@ -471,8 +481,8 @@ def _mat_vec(m, v):
     return (m @ v[..., None])[..., 0]
 
 
-def _finite_convolve(model, v1, v2, de, enlarged=True):
-    return CellConvolution(model, _vec_mat(v1, _finite_kernel(model, v2, de)), model.weight)
+def _finite_convolve(model, v1, v2, de, enlarged):
+    return CellConvolution(model, _vec_mat(v1, _finite_kernel(model, v2)), model.weight)
 
 
 def _window_table(build):
@@ -750,13 +760,14 @@ def transform_identity_check(
           = [(phi2 o inv)/Delta^(1/p2)] * [(phi1 o inv)/Delta^(1/p)] (g'^-1)
             * Delta(g')^(-1/p)
 
-    evaluated at every carrier point.  Zero up to float roundoff wherever
-    carrier inversion is exact (finite groups, symmetric abelian grids);
-    O(h) on the affine grid where inversion bends the b axis off the grid.
-    There the right side's convolution is evaluated only on the window the
-    check reads: the carrier's u rows of the enlarged output, and its b
-    columns from the cell of the least inverse b to the one after the
-    greatest (see _affine_residual).
+    at every point of the output.  On the five unimodular kinds (finite
+    groups, integer line, real line, torus, plane) one residual runs both
+    sides through the kind's own convolution: zero up to float roundoff.
+    O(h) on the affine grid at the carrier points, where inversion bends
+    the b axis off the grid.  There the right side's convolution is
+    evaluated only on the window the check reads: the carrier's u rows of
+    the enlarged output, and its b columns from the cell of the least
+    inverse b to the one after the greatest (see _affine_residual).
     """
     model = phi1.model
     if phi2.model is not model:
@@ -764,30 +775,12 @@ def transform_identity_check(
     return _KERNELS[type(model)].transform_residual(model, phi1.values, phi2.values, ex)
 
 
-def _finite_residual(model, v1, v2, ex):
-    de = float(_delta_exponent(ex))
-    inv_p = float(ex.p.inv)
-    inv_p2 = float(ex.p2.inv)
-    lhs = _finite_convolve(model, v1, v2, de).values
-    a = model.invert(v2) / model.delta**inv_p2
-    b = model.invert(v1) / model.delta**inv_p
-    conv0 = _finite_convolve(model, a, b, 0.0).values
-    rhs = model.invert(conv0) * model.delta ** (-inv_p)
+def _unimodular_residual(model, v1, v2, ex):
+    """With Delta = 1 the identity is phi1 * phi2 = [(phi2 o inv) *
+    (phi1 o inv)] o inv, the last inversion on the output's own domain."""
+    lhs = _convolve(model, v1, v2, float(_delta_exponent(ex))).values
+    rhs = _convolve(model, model.invert(v2), model.invert(v1), 0.0).inverted_values()
     return _max_rel(lhs, rhs)
-
-
-def _grid_residual(model, v1, v2, ex):
-    """Line, integer line and plane: Delta = 1 and inversion reverses every
-    axis of the carrier and of the convolution's support."""
-    conv = np.convolve if v1.ndim == 1 else fftconvolve
-    return _max_rel(conv(v1, v2), np.flip(conv(np.flip(v2), np.flip(v1))))
-
-
-def _torus_residual(model, v1, v2, ex):
-    lhs = _torus_convolve(model, v1, v2, 0.0, True).values
-    rev = _torus_convolve(model, v2[::-1], v1[::-1], 0.0, True).values
-    # circle inversion maps edge knot k to edge knot -k mod n
-    return _max_rel(lhs, np.roll(rev[::-1], 1))
 
 
 def _max_rel(lhs, rhs):
@@ -911,14 +904,11 @@ def ascent_direction_phi2(model, phi1_vals, w, de):
 
 
 def _finite_ascent_phi1(model, phi2_vals, w, de):
-    return _mat_vec(_finite_kernel(model, phi2_vals, de), w.values)
+    return _mat_vec(_finite_kernel(model, phi2_vals), w.values)
 
 
 def _finite_ascent_phi2(model, phi1_vals, w, de):
-    out = _vec_mat(phi1_vals, np.take(w.values, model.table, axis=-1))
-    if de != 0.0:
-        out = out * model.delta**de
-    return out
+    return _vec_mat(phi1_vals, np.take(w.values, model.table, axis=-1))
 
 
 # On the abelian grids Delta = 1 and A* w, B* w are one correlation of the
@@ -1048,20 +1038,20 @@ class _KernelTable(dict):
 
 _KERNELS = _KernelTable({
     FiniteGroup: _Kernels(
-        _finite_convolve, _finite_ascent_phi1, _finite_ascent_phi2, _finite_residual
+        _finite_convolve, _finite_ascent_phi1, _finite_ascent_phi2, _unimodular_residual
     ),
     IntegerLineModel: _Kernels(
         _integer_line_convolve, _integer_line_correlate, _integer_line_correlate,
-        _grid_residual,
+        _unimodular_residual,
     ),
     RealLineModel: _Kernels(
-        _real_line_convolve, _real_line_correlate, _real_line_correlate, _grid_residual
+        _real_line_convolve, _real_line_correlate, _real_line_correlate, _unimodular_residual
     ),
     TorusModel: _Kernels(
-        _torus_convolve, _torus_correlate, _torus_correlate, _torus_residual
+        _torus_convolve, _torus_correlate, _torus_correlate, _unimodular_residual
     ),
     PlaneModel: _Kernels(
-        _plane_convolve, _plane_correlate, _plane_correlate, _grid_residual
+        _plane_convolve, _plane_correlate, _plane_correlate, _unimodular_residual
     ),
     AffineModel: _Kernels(
         _affine_convolve, _affine_ascent_phi1, _affine_ascent_phi2, _affine_residual

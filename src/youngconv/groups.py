@@ -132,11 +132,10 @@ class FiniteGroup(GroupModel):
 
     def __init__(self, table, name="finite", from_law=False):
         table = np.asarray(table, dtype=int)
-        n = _validate_group_table(table, name, from_law)
+        self.identity = _validate_group_table(table, name, from_law)
         self.table = table
-        self.identity = _find_identity(table)
         self.inv = _find_inverses(table, self.identity)
-        super().__init__(name, np.ones(n), np.ones(n))
+        super().__init__(name, np.ones(len(table)), np.ones(len(table)))
 
     def op(self, i: int, j: int) -> int:
         return int(self.table[i, j])
@@ -149,6 +148,7 @@ class FiniteGroup(GroupModel):
 
 
 def _validate_group_table(table, name, from_law=False):
+    """Check the group table; returns the index of its identity."""
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise GroupModelError(f"{name}: table must be square")
     n = table.shape[0]
@@ -156,9 +156,9 @@ def _validate_group_table(table, name, from_law=False):
         raise GroupModelError(f"{name}: empty table")
     if table.min() < 0 or table.max() >= n:
         raise GroupModelError(f"{name}: table entries outside 0..{n - 1}")
-    _find_identity(table)
+    identity = _find_identity(table)
     if from_law:
-        return n
+        return identity
     # associativity (ij)k == i(jk) for all triples, gathered over blocks of
     # rows i of at most 2^18 elements (or one row), so memory stays O(n^2);
     # a table of n <= 64 takes one block
@@ -167,7 +167,7 @@ def _validate_group_table(table, name, from_law=False):
         block = table[start:start + rows]
         if not np.array_equal(table[block, :], block[:, table]):
             raise GroupModelError(f"{name}: table is not associative")
-    return n
+    return identity
 
 
 def _find_identity(table):

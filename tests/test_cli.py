@@ -191,6 +191,19 @@ def test_report_roundtrip(tmp_path, capsys):
     assert csv_text.startswith("restart,final_ratio")
 
 
+def test_report_renders_a_boundary_payload(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    args = ["estimate", "--group", "Rline:h=0.25,L=4", "--p1", "2", "--p2", "2"]
+    assert main(args + ["--out", str(out)]) == 0
+    line = capsys.readouterr().out
+    assert main(["report", "--input", str(out)]) == 0
+    assert capsys.readouterr().out == line
+    assert main(["report", "--input", str(out), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(out.read_text())
+    assert main(["report", "--input", str(out), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["restart,final_ratio"]
+
+
 def test_report_missing_fields_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     for payload in (
@@ -198,6 +211,7 @@ def test_report_missing_fields_exit_code(tmp_path, capsys):
         {"group": "Z/6", "exponents": "4/3"},
         [1, 2],
         {"ratio_trace": [1, 2]},
+        {"group": "Z/6", "boundary_value": 1.0},
     ):
         bad.write_text(json.dumps(payload))
         for fmt in ("text", "json", "csv"):

@@ -32,6 +32,7 @@ from youngconv.convolution import (
 from youngconv.estimator import EstimatorConfig, estimate
 from youngconv.exponents import young_p
 from youngconv.groups import (
+    AffineModel,
     GroupFunction,
     GroupModelError,
     affine_prime_field,
@@ -186,12 +187,45 @@ def test_transform_identity_finite():
             assert transform_identity_check(f1, f2, ex) <= 1e-12
 
 
+# one model of every unimodular kind; the torus at an even and an odd n
+UNIMODULAR = [
+    make_real_line(0.25, 2.0),
+    make_plane(0.5, 1.5),
+    make_integer_line(7),
+    make_torus(5),
+    make_torus(12),
+    affine_prime_field(5),
+]
+
+
 def test_transform_identity_line_exact():
+    # every kind but the affine grid has an exact case, so a new kind
+    # without a reversal check fails here
+    kinds = {type(model) for model in UNIMODULAR}
+    assert kinds == set(convolution._KERNELS) - {AffineModel}
     rng = np.random.default_rng(9)
-    for model in [make_real_line(0.25, 2.0), make_plane(0.5, 1.5)]:
+    for model in UNIMODULAR:
         f1 = GroupFunction(model, rng.random(model.shape))
         f2 = GroupFunction(model, rng.random(model.shape))
         assert transform_identity_check(f1, f2, EX) <= 1e-12
+
+
+@pytest.mark.parametrize("model", UNIMODULAR, ids=lambda m: m.name)
+def test_transform_identity_runs_the_kinds_own_kernel(model, monkeypatch):
+    # negative control: a kernel whose output is off by one cell must
+    # break the reversal identity
+    kernels = convolution._KERNELS[type(model)]
+
+    def rolled(*args):
+        out = kernels.convolve(*args)
+        out.values = np.roll(out.values, 1, axis=-1)
+        return out
+
+    monkeypatch.setitem(convolution._KERNELS, type(model), kernels._replace(convolve=rolled))
+    rng = np.random.default_rng(13)
+    f1 = GroupFunction(model, rng.random(model.shape))
+    f2 = GroupFunction(model, rng.random(model.shape))
+    assert transform_identity_check(f1, f2, EX) > 1e-3
 
 
 def _affine_bumps(model, rng):
