@@ -22,8 +22,8 @@ the subgroup monotonicity of the optimal constant.
 
 ``build_coset_functionals``, ``identity_checks`` and ``chain_check`` take
 value stacks as the convolution kernels do: phi1 and phi2 may carry
-leading axes, each row an independent instance, and one GroupFunction is
-an instance alone.  Every array then carries the stack's axes, each row
+leading axes, each row an independent instance, and one function is an
+instance alone.  Every array then carries the stack's axes, each row
 gets the bits it gets alone, and a CheckReport holds the worst residual
 over the stack with each row's residual beside it.
 """
@@ -110,8 +110,8 @@ def build_coset_functionals(
     convolution (inputs normalized first), and check that a different
     choice of coset representatives reproduces S, T, U exactly.
 
-    ``phi1`` and ``phi2`` are GroupFunctions or value stacks (..., n) of
-    the same shape; a stack is a batch of independent instances, and each
+    ``phi1`` and ``phi2`` are GroupFunctions (one function or a stack) or
+    value stacks (..., n) of the same shape; a stack is a batch of independent instances, and each
     of its rows gets the values it would get alone.
     """
     if not isinstance(pair, FiniteSubgroupPair):

@@ -293,12 +293,30 @@ def cmd_catalog(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
+# the payloads estimate --out writes: an estimate (the fields report reads,
+# in the order it reads them) or a boundary triple's
+ESTIMATE_FIELDS = (
+    "group", "exponents", "lower_bound", "restarts", "best_restart", "converged",
+    "truncation_mass", "upper_bound_refs",
+)
+BOUNDARY_FIELDS = {"group", "p1", "p2", "p", "boundary_value"}
+PAYLOADS = (
+    "report reads what estimate --out writes: an estimate payload, or a "
+    f"boundary payload {{{', '.join(sorted(BOUNDARY_FIELDS))}}}"
+)
+
+
 def cmd_report(args) -> int:
     with open(args.input, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    if set(payload) == {"group", "p1", "p2", "p", "boundary_value"}:  # a boundary triple
+    if not isinstance(payload, dict):
+        raise ValueError(f"the top level is not a JSON object; {PAYLOADS}")
+    if set(payload) == BOUNDARY_FIELDS:
         lines, traces = [_boundary_line(payload)], []
     else:
+        missing = next((key for key in ESTIMATE_FIELDS if key not in payload), None)
+        if missing is not None:
+            raise ValueError(f"no estimate field {missing!r}; {PAYLOADS}")
         lines = [
             f"group: {payload['group']}",
             f"exponents: p1={payload['exponents']['p1']} p2={payload['exponents']['p2']} "
@@ -365,7 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.set_defaults(func=cmd_estimate, source="group")
 
     p_ver = sub.add_parser("verify", help="run the property battery")
-    p_ver.add_argument("--seeds", type=_int_at_least(1), default=5)
+    p_ver.add_argument("--seeds", type=_int_at_least(1), default=5, metavar="N",
+                       help="the size of the random draws: the battery checks "
+                       "20 N Weil functions per finite pair, 10 N classical-Young "
+                       "pairs and max(2, N) proof-chain instances per pair and "
+                       "triple; --proof-chain runs N instances per pair and triple")
     p_ver.add_argument("--proof-chain", action="store_true",
                        help="emit the per-step proof chain residual table only")
     p_ver.add_argument("--corrupt", choices=["delta"], help="negative control")
@@ -401,9 +423,13 @@ def main(argv=None) -> int:
         return EXIT_BAD_EXPONENTS
     except (ValueError, LookupError, TypeError, OSError, MemoryError, OverflowError) as exc:
         # bad input (GroupModelError and the catalog loader's refusals are
-        # ValueErrors); an OSError names its file, other errors the command's input
+        # ValueErrors), named by the command's input option; an OSError on
+        # another file (--out, --csv, a Table: path) names that file itself
         source = getattr(args, "source", None)
-        value = None if isinstance(exc, OSError) else vars(args).get(source)
+        value = vars(args).get(source)
+        if isinstance(exc, OSError):
+            own = exc.filename is not None and exc.filename == value
+            exc, value = (exc.strerror, value) if own else (exc, None)
         where = f"--{source} {value!r}: " if value else ""
         print(f"error: {where}{exc}", file=sys.stderr)
         return EXIT_BAD_MODEL

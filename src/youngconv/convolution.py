@@ -721,7 +721,7 @@ def lp_norm(obj, p) -> float:
     raise TypeError(f"cannot take an Lp norm of {type(obj).__name__}")
 
 
-def young_ratio(phi1: GroupFunction, phi2: GroupFunction, ex: YoungExponents) -> float:
+def young_ratio(phi1: GroupFunction, phi2: GroupFunction, ex: YoungExponents):
     """||phi1 * (phi2 Delta^(1/p1'))||_p / (||phi1||_p1 ||phi2||_p2).
 
     Scale invariant in each argument.  On finite groups and the abelian
@@ -733,18 +733,25 @@ def young_ratio(phi1: GroupFunction, phi2: GroupFunction, ex: YoungExponents) ->
     diagnostic and can exceed the group's constant.  The convolution keeps
     its full support, the enlarged b window on the affine grid.  Inputs are
     normalized before convolving so large values cannot overflow.
+
+    phi1 and phi2 may hold stacks of functions of one shape (see
+    GroupFunction): the result is then one ratio per row, and each row
+    gets the bits it gets alone.
     """
     return _normalized_convolve(phi1, phi2, ex).lp_norm(ex.p)
 
 
 def _normalized_convolve(phi1, phi2, ex) -> ConvolutionResult:
     """The convolution whose p-norm young_ratio returns."""
-    n1 = lp_norm(phi1, ex.p1)
-    n2 = lp_norm(phi2, ex.p2)
-    if n1 == 0.0 or n2 == 0.0:
+    model = phi1.model
+    n1 = np.asarray(lp_norm(phi1, ex.p1))
+    n2 = np.asarray(lp_norm(phi2, ex.p2))
+    if np.any(n1 == 0.0) or np.any(n2 == 0.0):
         raise ValueError("young_ratio needs nonzero functions")
     de = float(_delta_exponent(ex))
-    return _convolve(phi1.model, phi1.values / n1, phi2.values / n2, de)
+    axes = (1,) * len(model.shape)  # each row divided by its own norm
+    v1 = phi1.values / n1.reshape(n1.shape + axes)
+    return _convolve(model, v1, phi2.values / n2.reshape(n2.shape + axes), de)
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +779,8 @@ def transform_identity_check(
     model = phi1.model
     if phi2.model is not model:
         raise GroupModelError("functions live on different models")
-    return _KERNELS[type(model)].transform_residual(model, phi1.values, phi2.values, ex)
+    v1, v2 = phi1.lone_values(), phi2.lone_values()
+    return _KERNELS[type(model)].transform_residual(model, v1, v2, ex)
 
 
 def _unimodular_residual(model, v1, v2, ex):

@@ -100,20 +100,35 @@ class GroupModel:
 
 
 class GroupFunction:
-    """Values attached to a model's carrier, one per cell."""
+    """Values attached to a model's carrier, one per cell.
+
+    Leading axes in front of the carrier's make a stack of functions on
+    one model, each row an independent function.  ``lp_norm``,
+    ``twisted_convolve``, ``young_ratio``, ``build_coset_functionals`` and
+    ``weil_decompose_check`` on a finite pair take a stack and give each
+    row the bits it gets alone; the other checks take one function.
+    """
 
     def __init__(self, model: GroupModel, values):
         values = np.asarray(values)
         if values.dtype.kind not in "fc":
             values = values.astype(float)
-        if values.shape != model.shape:
+        if values.shape[values.ndim - len(model.shape) :] != model.shape:
             raise GroupModelError(
-                f"values shape {values.shape} does not match carrier {model.shape}"
+                f"values shape {values.shape} does not end in carrier {model.shape}"
             )
         if not np.all(np.isfinite(values)):
             raise GroupModelError("function values must be finite")
         self.model = model
         self.values = values
+
+    def lone_values(self):
+        """The values of one function; a stack is refused."""
+        if self.values.shape != self.model.shape:
+            raise GroupModelError(
+                f"this check takes one function, not a stack of shape {self.values.shape}"
+            )
+        return self.values
 
     def __repr__(self):
         return f"<GroupFunction on {self.model.name}>"
@@ -486,7 +501,7 @@ def check_modular_identity(model: GroupModel, phi: GroupFunction) -> float:
     """
     if phi.model is not model:
         raise GroupModelError("function does not live on the given model")
-    vals = phi.values
+    vals = phi.lone_values()
     l1 = float(np.sum(model.weight * np.abs(vals)))
     if l1 == 0.0:
         return 0.0

@@ -29,6 +29,12 @@ representative), and the calibration, the Weil residual and the
 invariance residual are sums over that array.  Each fiber and each sum
 over the cosets is added in the order of the per-coset formula, so every
 residual keeps the bits it has when the cosets are taken one at a time.
+
+A finite pair also takes a stack of functions in its Weil residual
+(leading axes, see GroupFunction): the gather reads every row at once,
+each row's coset sum is still added in coset order, and each row gets
+the residual it has alone.  The affine pairs and the invariance residual
+take one function.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import math
 
 import numpy as np
 
+from .convolution import _scalar_or_rows
 from .groups import AffineModel, FiniteGroup, GroupFunction, GroupModelError
 
 
@@ -45,11 +52,13 @@ class SubgroupError(ValueError):
 
 
 def _in_coset_order(terms):
-    """Sum of per-coset terms added one float at a time, in coset order.
+    """Sum of per-coset terms (the last axis) added one float at a time, in
+    coset order, for each row of a stack (0-d for one function).
 
     numpy's pairwise sum would round differently, and on a Weil residual
     of 1e-5 one ulp of the integral is already 1e-11 of the residual."""
-    return sum(terms.tolist())
+    rows = terms.reshape(-1, terms.shape[-1]).tolist()
+    return np.array([sum(row) for row in rows]).reshape(terms.shape[:-1])
 
 
 def _masked_row_sums(values, ok):
@@ -78,17 +87,22 @@ class _CosetPair:
     h_element * g, as two arrays over the cosets.
     """
 
-    def weil_residual(self, phi: GroupFunction) -> float:
-        vals = phi.values
+    def weil_residual(self, vals):
+        """The relative Weil residual of the values of one function, or of
+        each row of a stack when the pair's _fibers takes one."""
         fib, dl = self._fibers(vals)
         lhs = _in_coset_order(self.coset_measure * fib * dl)
-        rhs = float(np.sum(self.group.weight * vals))
-        denom = float(np.sum(self.group.weight * np.abs(vals)))
-        return abs(lhs - rhs) / denom if denom > 0 else 0.0
+        weight = self.group.weight
+        batch = vals.shape[: vals.ndim - weight.ndim]
+        rhs = (weight * vals).reshape(batch + (-1,)).sum(axis=-1)
+        denom = (weight * np.abs(vals)).reshape(batch + (-1,)).sum(axis=-1)
+        # a zero denominator is a zero function, whose residual is 0
+        resid = np.abs(lhs - rhs) / np.where(denom > 0, denom, 1.0)
+        return _scalar_or_rows(resid)
 
-    def invariance_residual(self, phi: GroupFunction, h_element) -> float:
-        """Residual of the left H-invariance of fiber * delta at h_element."""
-        vals = phi.values
+    def invariance_residual(self, vals, h_element) -> float:
+        """Residual of the left H-invariance of fiber * delta at h_element,
+        for the values of one function."""
         fib, dl = self._fibers(vals)
         a_rep = fib * dl
         fib, dl = self._fibers(vals, h_element)
@@ -145,7 +159,7 @@ class FiniteSubgroupPair(_CosetPair):
                 raise SubgroupError(f"{h_element} is not in the subgroup")
             points = self.group.table[int(h_element), points]
         cells = self.group.table[self.h_indices[None, :], points[:, None]]
-        return values[cells].sum(axis=-1), self.delta[points]
+        return values[..., cells].sum(axis=-1), self.delta[points]
 
 
 class _AffinePair(_CosetPair):
@@ -250,14 +264,20 @@ def build_subgroup_pair(group, h_spec):
     raise GroupModelError(f"no subgroup machinery for kind {group.kind}")
 
 
-def weil_decompose_check(pair, phi: GroupFunction) -> float:
-    """Relative residual of the quotient integration formula for phi."""
-    return pair.weil_residual(phi)
+def weil_decompose_check(pair, phi: GroupFunction):
+    """Relative residual of the quotient integration formula for phi.
+
+    On a finite pair phi may hold a stack of functions: the result is then
+    one residual per row, each with the bits of that function alone.  The
+    affine pairs take one function.
+    """
+    vals = phi.values if isinstance(pair, FiniteSubgroupPair) else phi.lone_values()
+    return pair.weil_residual(vals)
 
 
 def left_invariance_check(pair, phi: GroupFunction, h_element) -> float:
     """Max relative residual of left H-invariance of the fiber functional."""
-    return pair.invariance_residual(phi, h_element)
+    return pair.invariance_residual(phi.lone_values(), h_element)
 
 
 def corrupt_delta(pair):

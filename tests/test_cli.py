@@ -219,6 +219,33 @@ def test_report_missing_fields_exit_code(tmp_path, capsys):
             assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "make, names",
+    [
+        (["exact", "--p1", "4/3", "--p2", "4/3", "--out", "{path}"], "no estimate field 'group'"),
+        # exact --group writes a group object, but none of the estimate's other fields
+        (["exact", "--p1", "4/3", "--p2", "4/3", "--group", "sl2_R", "--out", "{path}"],
+         "no estimate field 'exponents'"),
+        (["verify", "--proof-chain", "--seeds", "1", "--out", "{path}"],
+         "no estimate field 'group'"),
+        ("[1, 2]", "the top level is not a JSON object"),
+        (None, "No such file or directory"),
+    ],
+)
+def test_report_names_what_its_input_lacks(tmp_path, make, names):
+    path = str(tmp_path / "in.json")
+    if isinstance(make, list):
+        assert _run_in_process([a.format(path=path) for a in make])[0] == 0
+    elif make is not None:
+        Path(path).write_text(make)
+    code, out, err = _run_in_process(["report", "--input", path])
+    assert code == 4 and out == ""
+    assert err.splitlines() == [err.rstrip("\n")], err
+    assert err.startswith(f"error: --input {path!r}: {names}"), err
+    if make is not None:
+        assert "an estimate payload, or a boundary payload" in err
+
+
 def test_cold_import_loads_no_scipy():
     # scipy's import is most of a CLI start: FFTs run through numpy.fft, and
     # scipy.optimize loads on the first gaussian_ansatz call

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from youngconv.convolution import transform_identity_check
+from youngconv.exponents import young_p
 from youngconv.groups import (
     GroupFunction,
+    GroupModelError,
     affine_prime_field,
+    check_modular_identity,
     cyclic_group,
     make_affine_group,
 )
@@ -50,6 +54,26 @@ def test_finite_weil_exact_100_random():
             for _ in range(100)
         )
         assert worst <= 1e-12
+
+
+def test_checks_of_one_function_refuse_a_stack():
+    # only the finite Weil residual reads a stack row by row; the other
+    # checks sum or invert over every axis, so they take one function
+    af5 = affine_prime_field(5)
+    stack = GroupFunction(af5, np.ones((2, 20)))
+    aff = make_affine_group(0.25, 0.5, 0.25, 1.0)
+    pair = build_subgroup_pair(af5, list(range(5)))
+    for check in (
+        lambda: left_invariance_check(pair, stack, 1),
+        lambda: weil_decompose_check(build_subgroup_pair(aff, "translations"),
+                                     GroupFunction(aff, np.ones((2,) + aff.shape))),
+        lambda: check_modular_identity(af5, stack),
+        lambda: transform_identity_check(stack, stack, young_p("4/3", "4/3")),
+    ):
+        with pytest.raises(GroupModelError, match="one function"):
+            check()
+    with pytest.raises(GroupModelError, match="does not end in carrier"):
+        GroupFunction(af5, np.ones((20, 2)))
 
 
 def test_finite_invariance_exact():

@@ -9,13 +9,18 @@ import pytest
 
 import youngconv
 from youngconv.chain import build_coset_functionals, chain_check, identity_checks
+from youngconv.convolution import young_ratio
 from youngconv.exponents import young_p
 from youngconv.groups import GroupFunction
+from youngconv.quotient import weil_decompose_check
 from youngconv.verify import (
     CHAIN_BLOCK,
     TRIPLES,
     _chain_worst,
     _finite_pairs,
+    _weil_worst,
+    _young_models,
+    _young_worst,
     proof_chain_table,
     run_battery,
 )
@@ -77,6 +82,79 @@ def test_block_draw_equals_one_draw_per_seed():
             assert np.array_equal(draw[0], 0.05 + seed_rng.random(shape))
             assert np.array_equal(draw[1], 0.05 + seed_rng.random(shape))
         assert block_rng.bit_generator.state == seed_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("corrupt", [None, "delta"])
+def test_stacked_weil_rows_equal_lone_checks(corrupt):
+    rng = np.random.default_rng(5)
+    for _, pair in _finite_pairs(corrupt):
+        g = pair.group
+        stack = rng.random((7,) + g.shape)
+        stack[3] = 0.0  # a zero function has residual 0
+        rows = weil_decompose_check(pair, GroupFunction(g, stack))
+        assert rows.shape == (7,)
+        assert rows.tolist() == [weil_decompose_check(pair, GroupFunction(g, v)) for v in stack]
+        assert rows[3] == 0.0
+        # a stack of one is a lone function with a leading axis
+        assert weil_decompose_check(pair, GroupFunction(g, stack[:1])).tolist() == rows[:1].tolist()
+
+
+def test_stacked_young_ratios_equal_lone_ratios():
+    rng = np.random.default_rng(6)
+    for model in _young_models():
+        for p1, p2 in TRIPLES:
+            ex = young_p(p1, p2)
+            f1, f2 = rng.random((2, 5) + model.shape)
+            ratios = young_ratio(GroupFunction(model, f1), GroupFunction(model, f2), ex)
+            assert ratios.shape == (5,)
+            lone = [
+                young_ratio(GroupFunction(model, a), GroupFunction(model, b), ex)
+                for a, b in zip(f1, f2)
+            ]
+            assert ratios.tolist() == lone, (model.name, p1, p2)
+
+
+def test_young_ratio_refuses_a_stack_with_a_zero_row():
+    model = _young_models()[0]
+    f = np.ones((3,) + model.shape)
+    f[1] = 0.0
+    ones = GroupFunction(model, np.ones_like(f))
+    with pytest.raises(ValueError, match="nonzero"):
+        young_ratio(GroupFunction(model, f), ones, young_p("4/3", "4/3"))
+
+
+def _lone_weil_worst(pairs, rng, count):
+    """_weil_worst with one function at a time."""
+    worst = 0.0
+    for _, pair in pairs:
+        g = pair.group
+        for _ in range(count):
+            worst = max(worst, weil_decompose_check(pair, GroupFunction(g, rng.random(g.shape))))
+    return worst
+
+
+def _lone_young_worst(rng, count):
+    """_young_worst with one ratio per draw."""
+    models = _young_models()
+    worst = 0.0
+    for _ in range(count):
+        model = models[rng.integers(len(models))]
+        ex = young_p(*TRIPLES[rng.integers(len(TRIPLES))])
+        f1 = GroupFunction(model, rng.random(model.shape))
+        f2 = GroupFunction(model, rng.random(model.shape))
+        worst = max(worst, young_ratio(f1, f2, ex) - 1.0)
+    return worst
+
+
+@pytest.mark.parametrize("corrupt", [None, "delta"])
+def test_stacked_battery_draws_equal_one_draw_per_function(corrupt):
+    # same worst residual, and the generator left in the same state
+    pairs = _finite_pairs(corrupt)
+    stacked_rng, lone_rng = np.random.default_rng(12), np.random.default_rng(12)
+    assert _weil_worst(pairs, stacked_rng, 45) == _lone_weil_worst(pairs, lone_rng, 45)
+    assert stacked_rng.bit_generator.state == lone_rng.bit_generator.state
+    assert _young_worst(stacked_rng, 60) == _lone_young_worst(lone_rng, 60)
+    assert stacked_rng.bit_generator.state == lone_rng.bit_generator.state
 
 
 def _lone_chain_worst(pairs, rng, seeds):
