@@ -294,11 +294,30 @@ def cmd_catalog(args) -> int:
 
 
 # the payloads estimate --out writes: an estimate (the fields report reads,
-# in the order it reads them) or a boundary triple's
-ESTIMATE_FIELDS = (
-    "group", "exponents", "lower_bound", "restarts", "best_restart", "converged",
-    "truncation_mass", "upper_bound_refs",
-)
+# in the order it reads them, with their JSON types) or a boundary triple's
+ESTIMATE_FIELDS = {
+    "group": "string",
+    "exponents": {"p1": "string", "p2": "string", "p": "string"},
+    "lower_bound": "number",
+    "restarts": "integer",
+    "best_restart": "integer",
+    "converged": "boolean",
+    "truncation_mass": "number",
+    "upper_bound_refs": [{"source": "string", "value": "number"}],
+}
+JSON_TYPES = {"string": str, "integer": int, "number": (int, float), "boolean": bool}
+
+
+def _has_type(value, want):
+    """Whether a JSON value has the type ``want``: a name in JSON_TYPES (a
+    boolean is no number), [item type] or {key: type} with every key."""
+    if isinstance(want, list):
+        return isinstance(value, list) and all(_has_type(v, want[0]) for v in value)
+    if isinstance(want, dict):
+        return isinstance(value, dict) and all(k in value and _has_type(value[k], t) for k, t in want.items())
+    return isinstance(value, JSON_TYPES[want]) and (want == "boolean" or not isinstance(value, bool))
+
+
 BOUNDARY_FIELDS = {"group", "p1", "p2", "p", "boundary_value"}
 PAYLOADS = (
     "report reads what estimate --out writes: an estimate payload, or a "
@@ -317,6 +336,9 @@ def cmd_report(args) -> int:
         missing = next((key for key in ESTIMATE_FIELDS if key not in payload), None)
         if missing is not None:
             raise ValueError(f"no estimate field {missing!r}; {PAYLOADS}")
+        for key, want in {**ESTIMATE_FIELDS, "ratio_trace": [["number"]]}.items():
+            if key in payload and not _has_type(payload[key], want):
+                raise ValueError(f"estimate field {key!r} is not of type {json.dumps(want)}")
         lines = [
             f"group: {payload['group']}",
             f"exponents: p1={payload['exponents']['p1']} p2={payload['exponents']['p2']} "

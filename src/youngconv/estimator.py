@@ -13,20 +13,21 @@ diagnostic and can exceed the group's constant.  No claim is made that the
 global supremum is reached.
 
 All restarts of one estimate advance in lockstep, in one process: their
-iterates are stacked along a leading axis, every half-step computes the
-adjoint, the proposal and the normalization once for all restarts still
-running, the line search re-evaluates only the rows that rejected the
-previous step length, and a restart leaves the stack when it converges.
-Restart k draws its nonnegative random starts from its own generator
-``default_rng([seed, k])`` and takes the same steps it would take alone,
-so its result does not depend on the other restarts.  The winner of each
-restart is certified on its own, through the unbatched ratio path.
+iterates are stacked along a leading axis, row k holding restart k from
+its first draw to its certificate.  Every half-step computes the adjoint,
+the proposal and the normalization once for all restarts still running,
+the line search re-evaluates only the rows that rejected the previous
+step length, and a restart that converges keeps its row but stops
+running.  Restart k draws its nonnegative random starts from its own
+generator ``default_rng([seed, k])`` and takes the same steps it would
+take alone, so its result does not depend on the other restarts.  The
+last pair of each restart is certified on its own, through the unbatched
+ratio path.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,27 +162,29 @@ def _random_pairs(model, ex: YoungExponents, rngs):
 
 
 class _Lockstep:
-    """The iterates of every restart still running, as stacks.
+    """The iterates of every restart, as stacks.
 
-    Row j of ``pair[0]`` (phi1), ``pair[1]`` (phi2), ``ratio`` and
-    ``psi.values`` belongs to restart ``index[j]``.  ``psi.values`` is always
-    the convolution of the current pair; the loop reads nothing else of
-    ``psi``, so its truncation diagnostic is not kept current.  A row does
-    exactly what a lone restart would: it draws from its own generator,
-    skips where a lone restart skips and accepts the same steps, so
-    restarts stay independent of each other and of how many run.
+    Row k of ``pair[0]`` (phi1), ``pair[1]`` (phi2), ``ratio``,
+    ``psi.values`` and ``ls_tries`` is restart k from its first draw to its
+    certificate.  ``psi.values`` is always the convolution of the current
+    pair; the loop reads nothing else of ``psi``, so its truncation
+    diagnostic is not kept current.  A restart that stops keeps its row and
+    leaves the mask ``running``; the kernels see only the rows that run.  A
+    row does exactly what a lone restart would: it draws from its own
+    generator, skips where a lone restart skips and accepts the same steps,
+    so restarts stay independent of each other and of how many run.
 
     It runs inside _ascend's kept_kernel_spectra block: on the affine grid
     the forward and A* keep the kernel spectra of the phi2 stack they last
     convolved with, so while phi2 holds still a phi1 half-step on the
-    whole stack neither gathers nor transforms a kernel.
+    running rows neither gathers nor transforms a kernel.
     """
 
     def __init__(self, model, ex: YoungExponents, cfg):
         self.model, self.ex = model, ex
         self.de = float(_delta_exponent(ex))
         self.rngs = [np.random.default_rng([cfg.seed, k]) for k in range(cfg.restarts)]
-        self.index = np.arange(cfg.restarts)
+        self.running = np.ones(cfg.restarts, dtype=bool)
         self.ls_tries = np.zeros(cfg.restarts, dtype=int)
         self.pair = list(_random_pairs(model, ex, self.rngs))
         self.ratio, self.psi = _loop_ratio(model, *self.pair, self.de, ex.p)
@@ -194,47 +197,48 @@ class _Lockstep:
 
     def redraw(self, rows):
         """Fresh random pairs for the given rows, and their ratios."""
-        v1, v2 = _random_pairs(self.model, self.ex, [self.rngs[k] for k in self.index[rows]])
+        v1, v2 = _random_pairs(self.model, self.ex, [self.rngs[k] for k in rows])
         self.pair[0][rows], self.pair[1][rows] = v1, v2
         self.ratio[rows], psi = _loop_ratio(self.model, v1, v2, self.de, self.ex.p)
         self.psi.values[rows] = psi.values
 
-    def propose(self, side, live):
-        """The normalized proposal for phi1 (side 0) or phi2 (side 1), and
-        the rows in the mask ``live`` that have one."""
-        model, ex, de = self.model, self.ex, self.de
-        other = self.pair[1 - side]
+    def propose(self, side, rows):
+        """The normalized proposals for phi1 (side 0) or phi2 (side 1) on
+        the given rows: those that have one, with their rows."""
+        model, ex = self.model, self.ex
         pexp = ex.p1 if side == 0 else ex.p2
         w = self.psi.dual_power(float(ex.p) - 1.0)
+        w.values = w.values[rows]
         direction = ascent_direction_phi1 if side == 0 else ascent_direction_phi2
-        grad = np.maximum(direction(model, other, w, de), 0.0)
-        flat = grad.reshape(len(self.index), -1)
-        live = live & flat.any(axis=1)
-        peak = np.where(live, flat.max(axis=1), 1.0)
+        grad = np.maximum(direction(model, self.pair[1 - side][rows], w, self.de), 0.0)
+        flat = grad.reshape(rows.size, -1)
+        some = flat.any(axis=1)
+        peak = np.where(some, flat.max(axis=1), 1.0)
         lift = np.reshape(peak, (-1,) + (1,) * len(model.shape))
         proposal, norm = _normalize(model, (grad / lift) ** (1.0 / (float(pexp) - 1.0)), pexp)
-        return proposal, np.flatnonzero(live & (norm != 0.0))
+        has = some & (norm != 0.0)
+        return proposal[has], rows[has]
 
-    def half_step(self, side, live):
-        """One proposal for phi1 (side 0) or phi2 (side 1) on the rows in
-        the mask ``live``, then a backtracking line search on them."""
+    def half_step(self, side, rows):
+        """One proposal for phi1 (side 0) or phi2 (side 1) on the given
+        rows, then a backtracking line search on them."""
         model, ex, de = self.model, self.ex, self.de
         current, other = self.pair[side], self.pair[1 - side]
         pexp = ex.p1 if side == 0 else ex.p2
         # the dual and the gradient are freed before the line search
-        proposal, pending = self.propose(side, live)
+        proposal, pending = self.propose(side, rows)
         # backtracking toward the previous iterate; each try evaluates only
         # the rows that rejected every earlier t
         for t in (1.0, 0.5, 0.25, 0.125):
             if pending.size == 0:
                 break
-            blend = (1.0 - t) * current[pending] + t * proposal[pending]
+            blend = (1.0 - t) * current[pending] + t * proposal
             cand, norm = _normalize(model, blend, pexp)
             tried = norm != 0.0
             rows, cand = pending[tried], cand[tried]
             if rows.size == 0:
                 continue
-            self.ls_tries[self.index[rows]] += 1
+            self.ls_tries[rows] += 1
             args = (cand, other[rows]) if side == 0 else (other[rows], cand)
             cand_ratio, cand_psi = _loop_ratio(model, *args, de, ex.p)
             ok = cand_ratio >= self.ratio[rows]
@@ -244,81 +248,59 @@ class _Lockstep:
             self.psi.values[accepted] = cand_psi.values[ok]
             keep = ~tried
             keep[tried] = ~ok
-            pending = pending[keep]
+            pending, proposal = pending[keep], proposal[keep]
 
     def iterate(self):
-        """One iteration of every row: phi1 then phi2.  A row whose
+        """One iteration of every running row: phi1 then phi2.  A row whose
         convolution vanished is drawn again and skips the rest of it."""
-        n = len(self.index)
-        fresh = np.zeros(n, dtype=bool)
+        idle = ~self.running
         for side in (0, 1):
-            vanished = ~fresh & ~self.psi.values.reshape(n, -1).any(axis=1)
+            vanished = ~idle & ~self.psi.values.reshape(idle.size, -1).any(axis=1)
             if vanished.any():
                 self.redraw(np.flatnonzero(vanished))
-                fresh |= vanished
-            if not fresh.all():
-                self.half_step(side, ~fresh)
-
-    def retire(self, rows):
-        """Drop the given rows from the stacks; returns their (phi1, phi2)."""
-        out = [(self.pair[0][j].copy(), self.pair[1][j].copy()) for j in rows]
-        keep = np.ones(len(self.index), dtype=bool)
-        keep[rows] = False
-        self.pair = [v[keep] for v in self.pair]
-        self.ratio = self.ratio[keep]
-        self.psi.values = self.psi.values[keep]
-        self.index = self.index[keep]
-        return out
-
-
-_Ascent = namedtuple("_Ascent", "index iterations converged trace pair ls_tries")
+                idle |= vanished
+            rows = np.flatnonzero(~idle)
+            if rows.size:
+                self.half_step(side, rows)
 
 
 def _ascend(model, ex: YoungExponents, cfg):
-    """The ascent of every restart of one estimate, advanced in lockstep;
-    one _Ascent per restart, in restart order.  The affine kernel spectra
-    are kept for the loop alone, so they are gone before certification."""
+    """Every restart of one estimate: the ascent of all of them in lockstep,
+    then each one certified from its own row; one RestartResult per
+    restart, in restart order.  The affine kernel spectra are kept for the
+    loop alone, so they are gone before certification."""
     with kept_kernel_spectra(model):
         stack = _Lockstep(model, ex, cfg)
         traces = [[r] for r in stack.ratio.tolist()]
-        ended = {}  # restart -> (iterations, converged, pair)
+        stopped = [cfg.max_iters] * cfg.restarts  # a restart still running stops at the cap
         # convergence is judged on the gain over a window of iterations, not a
         # single step: slow geometric crawls stop with O(tol) of value left on
         # the table either way, but the window keeps that slop near tol itself
         window = 64
-        iterations = 0
         for iterations in range(1, cfg.max_iters + 1):
             stack.iterate()
-            done = []
-            for j, (k, ratio) in enumerate(zip(stack.index.tolist(), stack.ratio.tolist())):
+            ratios = stack.ratio.tolist()
+            for k in np.flatnonzero(stack.running).tolist():
                 trace = traces[k]
-                trace.append(ratio)
+                trace.append(ratios[k])
                 anchor = trace[max(0, len(trace) - 1 - window)]
-                if ratio > 0 and (ratio - anchor) <= cfg.tol * max(anchor, 1e-300):
-                    done.append(j)
-            if done:
-                finished = stack.index[done].tolist()
-                for k, pair in zip(finished, stack.retire(done)):
-                    ended[k] = (iterations, True, pair)
-            if stack.index.size == 0:
+                if ratios[k] > 0 and (ratios[k] - anchor) <= cfg.tol * max(anchor, 1e-300):
+                    stack.running[k] = False
+                    stopped[k] = iterations
+            if not stack.running.any():
                 break
-    for k, pair in zip(stack.index.tolist(), stack.retire(np.arange(stack.index.size))):
-        ended[k] = (iterations, False, pair)
-    return [
-        _Ascent(k, *ended[k][:2], traces[k], ended[k][2], int(stack.ls_tries[k]))
-        for k in range(cfg.restarts)
-    ]
+    return [_run_restart(stack, k, stopped[k], traces[k]) for k in range(cfg.restarts)]
 
 
-def _run_restart(model, ex: YoungExponents, ascent: _Ascent) -> RestartResult:
-    """The part of a restart that runs on its own once the lockstep ascent
-    has let it go: its last pair is certified alone, through the unbatched
-    ratio path, and becomes the restart's result."""
-    v1, v2 = ascent.pair
-    certified = _normalized_convolve(GroupFunction(model, v1), GroupFunction(model, v2), ex)
+def _run_restart(stack: _Lockstep, k, iterations, trace) -> RestartResult:
+    """Restart k's result: the pair in its row of the stack, certified on
+    its own through the unbatched ratio path once the ascent is over."""
+    pair = (stack.pair[0][k].copy(), stack.pair[1][k].copy())
+    model, ex = stack.model, stack.ex
+    certified = _normalized_convolve(GroupFunction(model, pair[0]), GroupFunction(model, pair[1]), ex)
     return RestartResult(
-        ascent.index, certified.lp_norm(ex.p), ascent.iterations, ascent.converged,
-        ascent.trace, ascent.pair, certified.truncation_mass, ascent.ls_tries,
+        k, certified.lp_norm(ex.p), iterations, not stack.running[k],
+        trace, pair, certified.truncation_mass, int(stack.ls_tries[k]),
     )
 
 
@@ -346,7 +328,7 @@ def estimate(
         raise ValueError("empty carrier")
     if cfg.restarts < 1:
         raise ValueError(f"the estimator needs restarts >= 1, got {cfg.restarts}")
-    results = [_run_restart(model, ex, a) for a in _ascend(model, ex, cfg)]
+    results = _ascend(model, ex, cfg)
     best = max(results, key=lambda r: (r.ratio, -r.index))
     refs = [("classical", 1.0)]
     if upper_bound_refs:

@@ -62,18 +62,11 @@ class BatteryItem:
 TRIPLES = (("4/3", "4/3"), ("3/2", "3/2"), ("5/4", "10/7"))
 
 
-def _finite_models():
-    return [cyclic_group(6), cyclic_group(8), affine_prime_field(5),
-            finite_product(cyclic_group(2), cyclic_group(3))]
-
-
 def _young_models():
-    """The models of the classical-Young draws."""
-    return _finite_models() + [make_torus(16), make_real_line(0.25, 2.0)]
-
-
-def _affine_small():
-    return make_affine_group(0.02, 0.6, 0.02, 3.0)
+    """The models of the classical-Young draws: Z/6, Z/8, Aff(F5) and
+    Z/2 x Z/3, the finite models of the battery, then T16 and a line."""
+    return [cyclic_group(6), cyclic_group(8), affine_prime_field(5),
+            finite_product(cyclic_group(2), cyclic_group(3)), make_torus(16), make_real_line(0.25, 2.0)]
 
 
 def _affine_bump(model, rng):
@@ -84,10 +77,9 @@ def _affine_bump(model, rng):
     return model.gaussian(cu, cb, su, sb)
 
 
-def _finite_pairs(corrupt=None):
-    af5 = affine_prime_field(5)
+def _finite_pairs(z6, af5, corrupt=None):
     pairs = [
-        ("Z/6>{0,3}", build_subgroup_pair(cyclic_group(6), [0, 3])),
+        ("Z/6>{0,3}", build_subgroup_pair(z6, [0, 3])),
         ("Aff(F5)>translations", build_subgroup_pair(af5, list(range(5)))),
         ("Aff(F5)>dilations", build_subgroup_pair(af5, [(a - 1) * 5 for a in range(1, 5)])),
     ]
@@ -117,13 +109,12 @@ def _weil_worst(pairs, rng, count):
     return worst
 
 
-def _young_worst(rng, count):
-    """Worst Young ratio less 1 over ``count`` random draws of a model, a
-    triple and a pair (f1, f2), clipped at 0.
+def _young_worst(models, rng, count):
+    """Worst Young ratio less 1 over ``count`` random draws of a model of
+    ``models``, a triple and a pair (f1, f2), clipped at 0.
 
     The draws are taken one after another, as one draw per ratio would
     take them; then the pairs of each (model, triple) run as one stack."""
-    models = _young_models()
     drawn = {}  # (model, triple) -> (f1 draws, f2 draws)
     for _ in range(count):
         key = int(rng.integers(len(models))), int(rng.integers(len(TRIPLES)))
@@ -172,17 +163,19 @@ def run_battery(
     corrupt: str = None,
     with_estimates: bool = True,
 ):
-    """Run the full battery; returns (items, all_passed)."""
+    """Run the full battery, building each model once; returns (items, all_passed)."""
     rng = np.random.default_rng(20240801)
     items = []
+    young = _young_models()
+    *finite, _, line = young
 
     # 1. modular identities
     worst = 0.0
-    for model in _finite_models() + [make_torus(12), make_real_line(0.25, 2.0)]:
+    for model in finite + [make_torus(12), line]:
         phi = GroupFunction(model, rng.random(model.shape))
         worst = max(worst, check_modular_identity(model, phi))
     items.append(BatteryItem("modular-identity-exact-kinds", worst, 1e-12))
-    aff = _affine_small()
+    aff = make_affine_group(0.02, 0.6, 0.02, 3.0)
     b1 = _affine_bump(aff, rng)
     b2 = _affine_bump(aff, rng)
     items.append(
@@ -196,7 +189,7 @@ def run_battery(
 
     # 2. transform identity
     worst = 0.0
-    for model in _finite_models():
+    for model in finite:
         for p1, p2 in TRIPLES:
             ex = young_p(p1, p2)
             f1 = GroupFunction(model, rng.random(model.shape))
@@ -214,7 +207,8 @@ def run_battery(
     )
 
     # 3. quotient decomposition
-    pairs = _finite_pairs(corrupt)
+    z6, _, af5, _ = finite
+    pairs = _finite_pairs(z6, af5, corrupt)
     worst = _weil_worst(pairs, rng, seeds * 20)
     items.append(BatteryItem("weil-finite", worst, 1e-12, detail=f"{seeds * 20} random fns x 3 pairs"))
     tpair = build_subgroup_pair(aff, "translations")
@@ -264,7 +258,7 @@ def run_battery(
     items.append(BatteryItem("chain-inequalities", worst_step, CHAIN_TOL))
 
     # 5. classical bound on random draws
-    items.append(BatteryItem("classical-young", _young_worst(rng, seeds * 10), 1e-9))
+    items.append(BatteryItem("classical-young", _young_worst(young, rng, seeds * 10), 1e-9))
 
     # 6. monotonicity audit (estimates against subgroup references)
     if with_estimates:
@@ -323,7 +317,8 @@ def proof_chain_table(seeds: int = 100, corrupt: str = None):
     """Per-step residual rows over seeds x pairs x triples (CSV/JSON form)."""
     rng = np.random.default_rng(77)
     rows = []
-    for name, p1, p2, _, ids, steps in _chain_worst(_finite_pairs(corrupt), rng, seeds):
+    pairs = _finite_pairs(cyclic_group(6), affine_prime_field(5), corrupt)
+    for name, p1, p2, _, ids, steps in _chain_worst(pairs, rng, seeds):
         for label, value in list(ids.items()) + list(steps.items()):
             rows.append(
                 {

@@ -246,6 +246,31 @@ def test_report_names_what_its_input_lacks(tmp_path, make, names):
         assert "an estimate payload, or a boundary payload" in err
 
 
+@pytest.mark.parametrize(
+    "field, value, need",
+    [
+        ("exponents", "4/3", '{"p1": "string", "p2": "string", "p": "string"}'),
+        ("lower_bound", "x", '"number"'),
+        ("upper_bound_refs", [1, 2], '[{"source": "string", "value": "number"}]'),
+        ("ratio_trace", [1, 2], '[["number"]]'),
+        ("truncation_mass", None, '"number"'),
+        ("restarts", "two", '"integer"'),
+    ],
+)
+def test_report_names_a_field_of_the_wrong_type(tmp_path, field, value, need):
+    path = str(tmp_path / "in.json")
+    argv = ["estimate", "--group", "Zmod:6", "--p1", "4/3", "--p2", "4/3",
+            "--restarts", "2", "--iters", "3", "--out", path]
+    assert _run_in_process(argv)[0] == 0
+    payload = json.loads(Path(path).read_text())
+    assert _run_in_process(["report", "--input", path])[0] == 0
+    Path(path).write_text(json.dumps(dict(payload, **{field: value})))
+    for fmt in ("text", "json", "csv"):
+        code, out, err = _run_in_process(["report", "--input", path, "--format", fmt])
+        assert code == 4 and out == ""
+        assert err == f"error: --input {path!r}: estimate field {field!r} is not of type {need}\n"
+
+
 def test_cold_import_loads_no_scipy():
     # scipy's import is most of a CLI start: FFTs run through numpy.fft, and
     # scipy.optimize loads on the first gaussian_ansatz call

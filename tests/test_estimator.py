@@ -384,27 +384,42 @@ ORACLE_SELECTORS = [
 ]
 
 
+LOCKSTEP_CFG = EstimatorConfig(restarts=4, max_iters=120, tol=1e-9, seed=42)
+
+
 @pytest.mark.parametrize(
-    "p1, p2, selectors",
+    "p1, p2, cfg, selectors",
     [
-        ("4/3", "3/2", ORACLE_SELECTORS),
+        pytest.param("4/3", "3/2", LOCKSTEP_CFG, dict.fromkeys(ORACLE_SELECTORS),
+                     id="4/3-3/2-selectors0"),
         # p1 > 2: the proposal takes a root 1/(p1 - 1) < 1 of the gradient,
         # which magnifies any rounding difference of the adjoint
-        ("3", "5/4", ["Torus:16", "Zwindow:10", "Rline:h=0.25,L=4"]),
+        pytest.param("3", "5/4", LOCKSTEP_CFG,
+                     dict.fromkeys(["Torus:16", "Zwindow:10", "Rline:h=0.25,L=4"]),
+                     id="3-5/4-selectors1"),
+        # restarts stop at different iterations (pinned here), so stopped
+        # rows sit in the stack among running ones; on the affine grid two
+        # run to the cap inside the kept spectra
+        pytest.param("4/3", "3/2", EstimatorConfig(restarts=4, max_iters=300, tol=1e-6, seed=42),
+                     {"Plane:h=0.5,L=2": [180, 220, 203, 186],
+                      "Affine:hu=0.25,U=1,hb=0.25,B=2": [249, 214, 300, 300]},
+                     id="4/3-3/2-staggered"),
     ],
 )
-def test_lockstep_restarts_match_serial_oracle(p1, p2, selectors):
+def test_lockstep_restarts_match_serial_oracle(p1, p2, cfg, selectors):
     # every row of the stacked loop takes the steps its restart takes alone,
-    # saturated restarts (ratio 1 to the last bit) included
+    # saturated restarts (ratio 1 to the last bit) included, and ends on the
+    # same pair to the last bit
     ex = young_p(p1, p2)
-    cfg = EstimatorConfig(restarts=4, max_iters=120, tol=1e-9, seed=42)
     early = rejected = False
-    for selector in selectors:
+    for selector, stops in selectors.items():
         model = _build_model(selector)
         report = estimate(model, ex, cfg)
+        if stops is not None:
+            assert [r.iterations for r in report.restart_results] == stops, selector
         for r in report.restart_results:
             for one_row in (True, False):
-                trace, iterations, converged, ls_tries, rejections, _ = _serial_restart(
+                trace, iterations, converged, ls_tries, rejections, pair = _serial_restart(
                     model, ex, cfg, r.index, one_row
                 )
                 where = f"{selector} restart {r.index} one_row={one_row}"
@@ -412,6 +427,8 @@ def test_lockstep_restarts_match_serial_oracle(p1, p2, selectors):
                     iterations, converged, len(trace), ls_tries
                 ), where
                 np.testing.assert_allclose(r.trace, trace, rtol=1e-12, atol=0, err_msg=where)
+                for got, want in zip(r.pair, pair):
+                    np.testing.assert_array_equal(got, want.reshape(got.shape), err_msg=where)
                 early |= converged and iterations < cfg.max_iters
                 rejected |= rejections > 0
     assert early and rejected
@@ -441,7 +458,7 @@ def test_zero_start_is_drawn_again(selector, monkeypatch):
     redraw = estimator._Lockstep.redraw
 
     def traced_redraw(self, rows):
-        redrawn.append(self.index[rows].tolist())
+        redrawn.append(rows.tolist())
         redraw(self, rows)
 
     monkeypatch.setattr(model, "random_start", zero_first_pair)

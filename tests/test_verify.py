@@ -11,7 +11,7 @@ import youngconv
 from youngconv.chain import build_coset_functionals, chain_check, identity_checks
 from youngconv.convolution import young_ratio
 from youngconv.exponents import young_p
-from youngconv.groups import GroupFunction
+from youngconv.groups import GroupFunction, affine_prime_field, cyclic_group
 from youngconv.quotient import weil_decompose_check
 from youngconv.verify import (
     CHAIN_BLOCK,
@@ -74,7 +74,7 @@ def test_corrupt_delta_fails_every_quotient_and_chain_item():
 
 
 def test_block_draw_equals_one_draw_per_seed():
-    for _, pair in _finite_pairs():
+    for _, pair in _finite_pairs(cyclic_group(6), affine_prime_field(5)):
         shape = pair.group.shape
         block_rng, seed_rng = np.random.default_rng(3), np.random.default_rng(3)
         block = 0.05 + block_rng.random((CHAIN_BLOCK + 3, 2) + shape)
@@ -87,7 +87,7 @@ def test_block_draw_equals_one_draw_per_seed():
 @pytest.mark.parametrize("corrupt", [None, "delta"])
 def test_stacked_weil_rows_equal_lone_checks(corrupt):
     rng = np.random.default_rng(5)
-    for _, pair in _finite_pairs(corrupt):
+    for _, pair in _finite_pairs(cyclic_group(6), affine_prime_field(5), corrupt):
         g = pair.group
         stack = rng.random((7,) + g.shape)
         stack[3] = 0.0  # a zero function has residual 0
@@ -149,11 +149,11 @@ def _lone_young_worst(rng, count):
 @pytest.mark.parametrize("corrupt", [None, "delta"])
 def test_stacked_battery_draws_equal_one_draw_per_function(corrupt):
     # same worst residual, and the generator left in the same state
-    pairs = _finite_pairs(corrupt)
+    pairs = _finite_pairs(cyclic_group(6), affine_prime_field(5), corrupt)
     stacked_rng, lone_rng = np.random.default_rng(12), np.random.default_rng(12)
     assert _weil_worst(pairs, stacked_rng, 45) == _lone_weil_worst(pairs, lone_rng, 45)
     assert stacked_rng.bit_generator.state == lone_rng.bit_generator.state
-    assert _young_worst(stacked_rng, 60) == _lone_young_worst(lone_rng, 60)
+    assert _young_worst(_young_models(), stacked_rng, 60) == _lone_young_worst(lone_rng, 60)
     assert stacked_rng.bit_generator.state == lone_rng.bit_generator.state
 
 
@@ -179,7 +179,7 @@ def _lone_chain_worst(pairs, rng, seeds):
 @pytest.mark.parametrize("corrupt", [None, "delta"])
 def test_blocked_chain_equals_one_instance_at_a_time(corrupt):
     seeds = CHAIN_BLOCK + 5  # one full block and a short one
-    pairs = _finite_pairs(corrupt)
+    pairs = _finite_pairs(cyclic_group(6), affine_prime_field(5), corrupt)
     blocked = list(_chain_worst(pairs, np.random.default_rng(11), seeds))
     lone = list(_lone_chain_worst(pairs, np.random.default_rng(11), seeds))
     assert blocked == lone
