@@ -43,6 +43,7 @@ from .convolution import (
     _weighted_norm,
 )
 from .exponents import YoungExponents
+from .groups import GroupFunction, require_model
 from .quotient import FiniteSubgroupPair
 
 
@@ -87,8 +88,10 @@ def _stu(pair, ex, v1, v2, reps):
 
 def _normalized(phi, label, group, p):
     """Values of a GroupFunction or of a stack (..., n) on ``group``,
-    divided by their p norms; a zero or negative function is refused
-    before any division."""
+    divided by their p norms; a function on another model, a zero or a
+    negative function is refused before any division."""
+    if isinstance(phi, GroupFunction):
+        require_model(group, phi)
     v = np.asarray(getattr(phi, "values", phi), dtype=float)
     if v.ndim == 0 or v.shape[-1:] != group.shape:
         raise ChainError(f"{label} values of shape {v.shape} do not end in {group.shape}")

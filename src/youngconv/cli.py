@@ -290,6 +290,8 @@ def cmd_catalog(args) -> int:
         else "violations: " + "; ".join(str(v) for v in report.violations)
     )
     _emit(payload, args, lines)
+    if not report.ok:
+        print(f"catalog inconsistent at: {report.violations[0]}", file=sys.stderr)
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
@@ -396,10 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
                        f"key=value or as bare values in order: {forms}")
     p_est.add_argument("--p1", required=True)
     p_est.add_argument("--p2", required=True)
-    p_est.add_argument("--restarts", type=_int_at_least(1), default=16)
-    p_est.add_argument("--iters", type=_int_at_least(0), default=500)
-    p_est.add_argument("--tol", type=tolerance, default=1e-9)
-    p_est.add_argument("--seed", type=_int_at_least(0), default=42)
+    p_est.add_argument("--restarts", type=_int_at_least(1), default=EstimatorConfig.restarts)
+    p_est.add_argument("--iters", type=_int_at_least(0), default=EstimatorConfig.max_iters)
+    p_est.add_argument("--tol", type=tolerance, default=EstimatorConfig.tol)
+    p_est.add_argument("--seed", type=_int_at_least(0), default=EstimatorConfig.seed)
     p_est.add_argument("--csv", help="write one row per restart here")
     add_common(p_est)
     p_est.set_defaults(func=cmd_estimate, source="group")

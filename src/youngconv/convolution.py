@@ -80,6 +80,7 @@ from .groups import (
     PlaneModel,
     RealLineModel,
     TorusModel,
+    require_model,
 )
 
 
@@ -422,8 +423,7 @@ def twisted_convolve(
     support of the result: on the affine grid that is the enlarged b
     window, where the certified ratio is read.
     """
-    if phi1.model is not phi2.model:
-        raise GroupModelError("convolution inputs live on different models")
+    require_model(phi1.model, phi2)
     de = float(_delta_exponent(ex))
     return _convolve(phi1.model, phi1.values, phi2.values, de)
 
@@ -738,6 +738,7 @@ def young_ratio(phi1: GroupFunction, phi2: GroupFunction, ex: YoungExponents):
     GroupFunction): the result is then one ratio per row, and each row
     gets the bits it gets alone.
     """
+    require_model(phi1.model, phi2)
     return _normalized_convolve(phi1, phi2, ex).lp_norm(ex.p)
 
 
@@ -777,8 +778,7 @@ def transform_identity_check(
     inverse b to the one after the greatest (see _affine_residual).
     """
     model = phi1.model
-    if phi2.model is not model:
-        raise GroupModelError("functions live on different models")
+    require_model(model, phi2)
     v1, v2 = phi1.lone_values(), phi2.lone_values()
     return _KERNELS[type(model)].transform_residual(model, v1, v2, ex)
 
@@ -792,6 +792,8 @@ def _unimodular_residual(model, v1, v2, ex):
 
 
 def _max_rel(lhs, rhs):
+    """The largest gap between two arrays over the largest entry of lhs, or
+    the largest gap alone where lhs is 0."""
     scale = float(np.abs(lhs).max())
     if scale == 0.0:
         return float(np.abs(rhs).max())
@@ -1039,29 +1041,24 @@ def _affine_ascent_phi2(model: AffineModel, v1, w: AffineConvolution, de):
 _Kernels = namedtuple("_Kernels", "convolve adjoint_phi1 adjoint_phi2 transform_residual")
 
 
+def _row(convolve, adjoint_phi1, adjoint_phi2=None, transform_residual=_unimodular_residual):
+    """A kind's row: an abelian grid names its one correlation once, as A*
+    and B* alike, and every kind but the affine grid is unimodular."""
+    return _Kernels(convolve, adjoint_phi1, adjoint_phi2 or adjoint_phi1, transform_residual)
+
+
 class _KernelTable(dict):
     def __missing__(self, cls):
         raise GroupModelError(f"unsupported model kind {cls.kind}")
 
 
 _KERNELS = _KernelTable({
-    FiniteGroup: _Kernels(
-        _finite_convolve, _finite_ascent_phi1, _finite_ascent_phi2, _unimodular_residual
-    ),
-    IntegerLineModel: _Kernels(
-        _integer_line_convolve, _integer_line_correlate, _integer_line_correlate,
-        _unimodular_residual,
-    ),
-    RealLineModel: _Kernels(
-        _real_line_convolve, _real_line_correlate, _real_line_correlate, _unimodular_residual
-    ),
-    TorusModel: _Kernels(
-        _torus_convolve, _torus_correlate, _torus_correlate, _unimodular_residual
-    ),
-    PlaneModel: _Kernels(
-        _plane_convolve, _plane_correlate, _plane_correlate, _unimodular_residual
-    ),
-    AffineModel: _Kernels(
+    FiniteGroup: _row(_finite_convolve, _finite_ascent_phi1, _finite_ascent_phi2),
+    IntegerLineModel: _row(_integer_line_convolve, _integer_line_correlate),
+    RealLineModel: _row(_real_line_convolve, _real_line_correlate),
+    TorusModel: _row(_torus_convolve, _torus_correlate),
+    PlaneModel: _row(_plane_convolve, _plane_correlate),
+    AffineModel: _row(
         _affine_convolve, _affine_ascent_phi1, _affine_ascent_phi2, _affine_residual
     ),
 })

@@ -28,7 +28,7 @@ ratio path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -55,12 +55,7 @@ class EstimatorConfig:
     seed: int = 42
 
     def as_dict(self):
-        return {
-            "restarts": self.restarts,
-            "max_iters": self.max_iters,
-            "tol": self.tol,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -117,6 +118,7 @@ def holder_conjugate(p) -> Exponent:
     return Exponent(p).conjugate()
 
 
+@dataclass(frozen=True, slots=True)
 class YoungExponents:
     """A validated triple (p1, p2, p) with 1/p1 + 1/p2 = 1 + 1/p.
 
@@ -125,40 +127,27 @@ class YoungExponents:
     group, so numeric paths special-case them.
     """
 
-    __slots__ = ("_p1", "_p2", "_p")
+    p1: Exponent
+    p2: Exponent
+    p: Exponent
 
     _REL_TOL = Fraction(1, 10**12)
 
-    def __init__(self, p1, p2, p):
-        self._p1 = Exponent(p1)
-        self._p2 = Exponent(p2)
-        self._p = Exponent(p)
-        total = self._p1.inv + self._p2.inv
+    def __post_init__(self):
+        for name in ("p1", "p2", "p"):
+            object.__setattr__(self, name, Exponent(getattr(self, name)))
+        total = self.p1.inv + self.p2.inv
         if total < 1:
+            raise ExponentError(f"inadmissible pair: 1/{self.p1} + 1/{self.p2} < 1")
+        if abs(total - 1 - self.p.inv) > self._REL_TOL:
             raise ExponentError(
-                f"inadmissible pair: 1/{self._p1} + 1/{self._p2} < 1"
+                f"exponent relation violated: 1/{self.p1} + 1/{self.p2} "
+                f"!= 1 + 1/{self.p}"
             )
-        if abs(total - 1 - self._p.inv) > self._REL_TOL:
-            raise ExponentError(
-                f"exponent relation violated: 1/{self._p1} + 1/{self._p2} "
-                f"!= 1 + 1/{self._p}"
-            )
-
-    @property
-    def p1(self) -> Exponent:
-        return self._p1
-
-    @property
-    def p2(self) -> Exponent:
-        return self._p2
-
-    @property
-    def p(self) -> Exponent:
-        return self._p
 
     @property
     def boundary(self) -> bool:
-        return self._p1.is_one or self._p2.is_one or self._p.is_inf
+        return self.p1.is_one or self.p2.is_one or self.p.is_inf
 
     @property
     def interior(self) -> bool:
@@ -166,18 +155,10 @@ class YoungExponents:
 
     def swapped(self) -> "YoungExponents":
         """The triple with p1 and p2 exchanged (same p)."""
-        return YoungExponents(self._p2, self._p1, self._p)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, YoungExponents):
-            return NotImplemented
-        return (self._p1, self._p2, self._p) == (other._p1, other._p2, other._p)
-
-    def __hash__(self) -> int:
-        return hash((self._p1, self._p2, self._p))
+        return YoungExponents(self.p2, self.p1, self.p)
 
     def __repr__(self) -> str:
-        return f"YoungExponents({self._p1}, {self._p2}; p={self._p})"
+        return f"YoungExponents({self.p1}, {self.p2}; p={self.p})"
 
 
 def young_p(p1, p2) -> YoungExponents:

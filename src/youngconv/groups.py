@@ -7,7 +7,8 @@ step-function semantics: a function is constant on each cell, so group
 translations act by coordinate maps plus cell lookup, and the only
 approximation parameters are the cell width and the window.
 
-Kinds and conventions:
+Kinds and conventions, one class each; each class is also its own
+factory under a ``make_*`` name, listed after the last class:
 
 * ``finite``        group table, counting Haar, Delta = 1.
 * ``real_line_steps`` cells of width h on [-L, L), Haar mass h.
@@ -134,6 +135,15 @@ class GroupFunction:
         return f"<GroupFunction on {self.model.name}>"
 
 
+def require_model(model: GroupModel, *functions: GroupFunction):
+    """Refuse functions that do not live on ``model``: a check reads their
+    values against its weights, modular function and table, which a
+    function of the same shape on another model would not fit."""
+    for phi in functions:
+        if phi.model is not model:
+            raise GroupModelError(f"a function on {phi.model!r} does not live on {model!r}")
+
+
 # ---------------------------------------------------------------------------
 # finite groups
 
@@ -205,11 +215,6 @@ def _find_inverses(table, e):
     return inv
 
 
-def make_finite_group(table, name="finite") -> FiniteGroup:
-    """Exact model from a group multiplication table (counting Haar)."""
-    return FiniteGroup(table, name)
-
-
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupModelError(f"cyclic group order must be >= 1, got {n}")
@@ -253,7 +258,13 @@ def load_group_table(path) -> FiniteGroup:
         raise GroupModelError(f"unknown group file fields: {sorted(extra)}")
     if "table" not in obj:
         raise GroupModelError("group file missing 'table'")
-    return FiniteGroup(obj["table"], name=obj.get("name", "file"))
+    table = obj["table"]
+    # JSON integers only: int casting would read 0.7, true and "0" as entries
+    if not isinstance(table, list) or not all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in table
+    ):
+        raise GroupModelError("group table entries must be JSON integers")
+    return FiniteGroup(table, name=obj.get("name", "file"))
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +311,6 @@ class RealLineModel(GroupModel):
         return np.exp(-self.centers**2 / (2 * s * s))
 
 
-def make_real_line(h, half_width) -> RealLineModel:
-    return RealLineModel(h, half_width)
-
-
 class IntegerLineModel(GroupModel):
     """Z cut to [-L, L] with counting Haar; a discrete-group window."""
 
@@ -316,10 +323,6 @@ class IntegerLineModel(GroupModel):
         n = 2 * self.half_width + 1
         self.centers = np.arange(-self.half_width, self.half_width + 1, dtype=float)
         super().__init__(f"Z[L={half_width}]", np.ones(n), np.ones(n))
-
-
-def make_integer_line(half_width: int) -> IntegerLineModel:
-    return IntegerLineModel(half_width)
 
 
 class TorusModel(GroupModel):
@@ -337,10 +340,6 @@ class TorusModel(GroupModel):
         self.h = 1.0 / n
         self.centers = (np.arange(n) + 0.5) * self.h
         super().__init__(f"T[n={n}]", np.full(n, self.h), np.ones(n))
-
-
-def make_torus(n: int) -> TorusModel:
-    return TorusModel(n)
 
 
 class PlaneModel(GroupModel):
@@ -369,10 +368,6 @@ class PlaneModel(GroupModel):
         s = 0.3 * self.half_width
         x = self.centers
         return np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / (2 * s * s))
-
-
-def make_plane(h, half_width) -> PlaneModel:
-    return PlaneModel(h, half_width)
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +480,13 @@ class AffineModel(GroupModel):
         return self.default_bump(-np.exp(-self.u_centers[:, None]) * self.b_centers)
 
 
-def make_affine_group(h_u, u_half_width, h_b, b_half_width) -> AffineModel:
-    return AffineModel(h_u, u_half_width, h_b, b_half_width)
+# the model classes are their own factories
+make_finite_group = FiniteGroup
+make_real_line = RealLineModel
+make_integer_line = IntegerLineModel
+make_torus = TorusModel
+make_plane = PlaneModel
+make_affine_group = AffineModel
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +499,7 @@ def check_modular_identity(model: GroupModel, phi: GroupFunction) -> float:
     symmetric abelian grids; O(h) on the affine grid where inversion bends
     the b coordinate off the grid.  Returns 0 for the zero function.
     """
-    if phi.model is not model:
-        raise GroupModelError("function does not live on the given model")
+    require_model(model, phi)
     vals = phi.lone_values()
     l1 = float(np.sum(model.weight * np.abs(vals)))
     if l1 == 0.0:

@@ -43,8 +43,8 @@ import math
 
 import numpy as np
 
-from .convolution import _scalar_or_rows
-from .groups import AffineModel, FiniteGroup, GroupFunction, GroupModelError
+from .convolution import _max_rel, _scalar_or_rows
+from .groups import AffineModel, FiniteGroup, GroupFunction, GroupModelError, require_model
 
 
 class SubgroupError(ValueError):
@@ -106,9 +106,7 @@ class _CosetPair:
         fib, dl = self._fibers(vals)
         a_rep = fib * dl
         fib, dl = self._fibers(vals, h_element)
-        worst = float(np.abs(a_rep - fib * dl).max(initial=0.0))
-        scale = float(np.abs(a_rep).max(initial=0.0))
-        return worst / scale if scale > 0 else worst
+        return _max_rel(a_rep, fib * dl)
 
 
 class FiniteSubgroupPair(_CosetPair):
@@ -271,12 +269,14 @@ def weil_decompose_check(pair, phi: GroupFunction):
     one residual per row, each with the bits of that function alone.  The
     affine pairs take one function.
     """
+    require_model(pair.group, phi)
     vals = phi.values if isinstance(pair, FiniteSubgroupPair) else phi.lone_values()
     return pair.weil_residual(vals)
 
 
 def left_invariance_check(pair, phi: GroupFunction, h_element) -> float:
     """Max relative residual of left H-invariance of the fiber functional."""
+    require_model(pair.group, phi)
     return pair.invariance_residual(phi.lone_values(), h_element)
 
 

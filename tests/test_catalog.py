@@ -96,6 +96,22 @@ def test_compactness_and_link_violations():
     assert any(v.kind == "unresolved" for v in rep.violations)
 
 
+def test_r_additivity_and_bound_order_violations():
+    a = LieGroupDescriptor("A", dim=1, r=0, flags=_flags())
+    bad_r = LieGroupDescriptor("B", dim=2, r=1, flags=_flags(), links=(("A", "A"),))
+    rep = catalog_consistency_check([a, bad_r], EX)
+    assert [v.kind for v in rep.violations] == ["r-additivity"]
+
+    # an exact value of 1 above the class-A bound Y(R)^(dim - r) < 1
+    flags = _flags(solvable=False, simply_connected=False, unimodular=False)
+    above = LieGroupDescriptor("X", dim=2, r=1, flags=flags, exact_value_rule="compact_one")
+    rep = catalog_consistency_check([above], EX)
+    y = beckner_Y_Rn("4/3", "4/3", 1)
+    assert [str(v) for v in rep.violations] == [
+        f"[bound-order] X: exact value 1.0 exceeds bound {y}"
+    ]
+
+
 def test_descriptor_validation():
     with pytest.raises(ValueError):
         LieGroupDescriptor("x", dim=-1, r=0, flags=_flags())

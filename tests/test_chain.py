@@ -12,7 +12,13 @@ from youngconv.chain import (
 )
 from youngconv.convolution import young_ratio
 from youngconv.exponents import young_p
-from youngconv.groups import GroupFunction, affine_prime_field, cyclic_group
+from youngconv.groups import (
+    GroupFunction,
+    GroupModelError,
+    affine_prime_field,
+    cyclic_group,
+    finite_product,
+)
 from youngconv.quotient import build_subgroup_pair, corrupt_delta
 
 TRIPLES = [young_p("4/3", "4/3"), young_p("3/2", "3/2"), young_p("5/4", "10/7")]
@@ -233,6 +239,15 @@ def test_rejects_bad_inputs():
             GroupFunction(g, np.array([1.0, -1.0, 1, 1, 1, 1])),
             GroupFunction(g, np.ones(6)),
         )
+
+
+def test_functions_on_another_model_are_refused():
+    pair = build_subgroup_pair(cyclic_group(6), [0, 3])
+    z2z3 = finite_product(cyclic_group(2), cyclic_group(3))
+    own, other = GroupFunction(pair.group, np.ones(6)), GroupFunction(z2z3, np.ones(6))
+    for phi1, phi2 in [(other, own), (own, other)]:
+        with pytest.raises(GroupModelError, match="does not live on"):
+            build_coset_functionals(pair, young_p("4/3", "4/3"), phi1, phi2)
 
 
 def test_zero_function_is_refused_before_dividing():

@@ -176,6 +176,25 @@ def test_catalog_writes_canonical_exponents(capsys):
     assert json.loads(blobs[0])["p1"] == "3/2"
 
 
+def test_inconsistent_catalog_names_its_first_violation(tmp_path, capsys):
+    shipped = json.loads(
+        (Path(youngconv.__file__).parent / "data" / "catalog.json").read_text()
+    )
+    flags = dict.fromkeys(shipped[0]["flags"], False) | {"in_class_A": True}
+    above = {"name": "X", "dim": 2, "r": 1, "flags": flags, "exact_value_rule": "compact_one"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([e for e in shipped if e["name"] == "trivial"] + [above]))
+    violation = "[bound-order] X: exact value 1.0 exceeds bound 0.8773826753016616"
+    assert main(["catalog", "--catalog", str(path)]) == 5
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == f"violations: {violation}"
+    assert err == f"catalog inconsistent at: {violation}\n"
+    assert main(["catalog", "--catalog", str(path), "--format", "json"]) == 5
+    out, err = capsys.readouterr()
+    assert json.loads(out)["violations"] == [violation]
+    assert err == f"catalog inconsistent at: {violation}\n"
+
+
 def test_report_roundtrip(tmp_path, capsys):
     out = tmp_path / "report.json"
     main(
@@ -327,6 +346,20 @@ def test_bad_input_exits_4_with_one_error_line(tmp_path, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
     # the line names the bad selector or file
     assert any(a in err for a in argv if "/" in a or ":" in a), err
+
+
+@pytest.mark.parametrize(
+    "table",
+    [[[0.7, 1.2], [1.9, 0.3]], [[True, False], [False, True]], [["0", "1"], ["1", "0"]]],
+    ids=["float", "bool", "string"],
+)
+def test_table_entries_that_are_not_integers_exit_4(tmp_path, table):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"table": table}))
+    argv = ["estimate", "--group", f"Table:{path}", "--p1", "4/3", "--p2", "4/3"]
+    code, out, err = _run_in_process(argv)
+    assert code == 4 and out == ""
+    assert err == f"error: --group 'Table:{path}': group table entries must be JSON integers\n"
 
 
 def test_report_has_no_out_option(tmp_path):

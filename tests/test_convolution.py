@@ -33,10 +33,12 @@ from youngconv.estimator import EstimatorConfig, estimate
 from youngconv.exponents import young_p
 from youngconv.groups import (
     AffineModel,
+    FiniteGroup,
     GroupFunction,
     GroupModelError,
     affine_prime_field,
     cyclic_group,
+    finite_product,
     make_affine_group,
     make_integer_line,
     make_plane,
@@ -138,6 +140,31 @@ def test_model_mismatch_rejected():
             GroupFunction(cyclic_group(6), np.ones(6)),
             EX,
         )
+    # pairs of models whose functions convolve without a shape error
+    z2z3 = finite_product(cyclic_group(2), cyclic_group(3))
+    for a, b in [
+        (make_real_line(0.25, 2.0), make_real_line(0.5, 4.0)),
+        (make_real_line(0.25, 2.0), make_real_line(0.25, 4.0)),
+        (make_real_line(0.25, 4.0), make_real_line(0.25, 2.0)),
+        (cyclic_group(6), z2z3),
+    ]:
+        with pytest.raises(GroupModelError, match="does not live on"):
+            young_ratio(GroupFunction(a, np.ones(a.shape)), GroupFunction(b, np.ones(b.shape)), EX)
+
+
+def test_transform_identity_refuses_a_function_on_another_model():
+    a, b = make_real_line(0.25, 2.0), make_real_line(0.5, 4.0)
+    with pytest.raises(GroupModelError, match="does not live on"):
+        transform_identity_check(GroupFunction(a, np.ones(16)), GroupFunction(b, np.ones(16)), EX)
+
+
+def test_kind_without_a_kernel_row_is_refused():
+    class Unlisted(FiniteGroup):
+        kind = "unlisted"
+
+    f = GroupFunction(Unlisted([[0, 1], [1, 0]]), np.ones(2))
+    with pytest.raises(GroupModelError, match="unsupported model kind unlisted"):
+        young_ratio(f, f, EX)
 
 
 def test_classical_young_random_battery():

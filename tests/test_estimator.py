@@ -30,7 +30,10 @@ from youngconv.groups import (
     affine_prime_field,
     cyclic_group,
     make_affine_group,
+    make_integer_line,
+    make_plane,
     make_real_line,
+    make_torus,
 )
 
 QUICK = EstimatorConfig(restarts=4, max_iters=200, tol=1e-9, seed=42)
@@ -167,6 +170,18 @@ def test_boundary_witness_line_and_affine():
     aff = make_affine_group(0.02, 0.6, 0.02, 3.0)
     _, _, ratio = boundary_witness(aff, ex)
     assert ratio >= 1.0 - 1e-3
+
+
+@pytest.mark.parametrize(
+    "model",
+    [make_plane(0.2, 4.0), make_plane(0.1, 4.0), make_torus(64), make_integer_line(10)],
+    ids=lambda m: m.name,
+)
+def test_boundary_witness_plane_torus_and_integer_line(model):
+    # inversion permutes cells of equal mass on these grids, so the modular
+    # identity, and with it the witness ratio 1, holds up to rounding
+    _, _, ratio = boundary_witness(model, young_p(2, 2))
+    assert abs(ratio - 1.0) <= 1e-12
 
 
 def test_matched_gaussian_steps_hit_the_band():

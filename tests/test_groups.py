@@ -228,6 +228,12 @@ def test_modular_identity_zero_function_guard():
     assert check_modular_identity(z6, GroupFunction(z6, np.zeros(6))) == 0.0
 
 
+def test_modular_identity_refuses_a_function_on_another_model():
+    z2z3 = finite_product(cyclic_group(2), cyclic_group(3))
+    with pytest.raises(GroupModelError, match="does not live on"):
+        check_modular_identity(cyclic_group(6), GroupFunction(z2z3, np.ones(6)))
+
+
 def _affine_bump(model):
     # inversion stretches the b support by e^U, so keep e^U * 3 s_b < B
     uu = model.u_centers[:, None]
@@ -264,6 +270,22 @@ def test_group_table_file(tmp_path):
     assert loaded.name == "Z4"
     path.write_text(json.dumps({"table": z4.table.tolist(), "extra": 1}))
     with pytest.raises(GroupModelError):
+        load_group_table(path)
+
+
+# tables that an int cast would read as Z/2
+NON_INTEGER_TABLES = [
+    [[0.7, 1.2], [1.9, 0.3]],
+    [[True, False], [False, True]],
+    [["0", "1"], ["1", "0"]],
+]
+
+
+@pytest.mark.parametrize("table", NON_INTEGER_TABLES, ids=["float", "bool", "string"])
+def test_load_group_table_refuses_entries_that_are_not_integers(tmp_path, table):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"table": table}))
+    with pytest.raises(GroupModelError, match="JSON integers"):
         load_group_table(path)
 
 

@@ -11,6 +11,7 @@ from youngconv.groups import (
     affine_prime_field,
     check_modular_identity,
     cyclic_group,
+    finite_product,
     make_affine_group,
 )
 from youngconv.quotient import (
@@ -74,6 +75,34 @@ def test_checks_of_one_function_refuse_a_stack():
             check()
     with pytest.raises(GroupModelError, match="does not end in carrier"):
         GroupFunction(af5, np.ones((20, 2)))
+
+
+def _pairs_with_a_function_on_another_model():
+    """Each pair with a function of its carrier's shape on another model:
+    Z/2xZ/3 for Z/6, and a second, equal grid for the affine one."""
+    z2z3 = finite_product(cyclic_group(2), cyclic_group(3))
+    grid = (0.25, 0.5, 0.25, 1.0)
+    twin = make_affine_group(*grid)
+    return [
+        (build_subgroup_pair(cyclic_group(6), [0, 3]), GroupFunction(z2z3, np.ones(6)), 3),
+        (
+            build_subgroup_pair(make_affine_group(*grid), "translations"),
+            GroupFunction(twin, np.ones(twin.shape)),
+            0.25,
+        ),
+    ]
+
+
+def test_weil_check_refuses_a_function_on_another_model():
+    for pair, phi, _ in _pairs_with_a_function_on_another_model():
+        with pytest.raises(GroupModelError, match="does not live on"):
+            weil_decompose_check(pair, phi)
+
+
+def test_invariance_check_refuses_a_function_on_another_model():
+    for pair, phi, h in _pairs_with_a_function_on_another_model():
+        with pytest.raises(GroupModelError, match="does not live on"):
+            left_invariance_check(pair, phi, h)
 
 
 def test_finite_invariance_exact():
