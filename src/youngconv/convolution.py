@@ -14,12 +14,14 @@ plane).  On a knot interval |f|^p is then a polynomial of degree p in each
 coordinate, which that short rule integrates exactly, as the 8-node rule
 does, so the two agree to rounding.  Cell-sampled convolution would make
 point masses saturate the ratio at 1 and destroy convergence of the lower
-bounds, so it is never used there.  The Gauss sums run with the nodes
-outermost: the values at one node (one node pair on the plane) are formed,
-raised to p and summed over every cell as one long row, and the node sums
-are weighted last.  They agree with the per-cell order to about 1e-15
-relative, and a row of a stack gets bit for bit the norm of the same
-function alone.
+bounds, so it is never used there.  The Gauss sums run one node at a time:
+the values at that node on every cell (on the plane, at the q node pairs
+of one node row) are formed in one array, raised to p and summed over the
+cells, and the node sums are weighted in node order.  They agree with
+the per-cell order to about 1e-15 relative, and a row of a stack gets bit
+for bit the norm of the same function alone.  Each call makes the arrays
+it writes, so the norms, convolutions and adjoints of the unimodular
+kinds write nothing to the model, and threads may share one.
 
 On the affine grid the convolution is a direct double sum over cells; the
 group is non-abelian so there is no FFT shortcut, but for each pair of
@@ -159,8 +161,6 @@ def _convolve_last(a, b, mode="full", out=None):
     ``out`` may take the result in place of a new array: a C-contiguous
     array or a slice of one along the last axis, so that out.reshape(-1, n)
     is a view of it."""
-    if a.ndim == 1 and out is None:
-        return np.convolve(a, b, mode)
     la, lb = a.shape[-1], b.shape[-1]
     if out is None:
         out = np.empty(a.shape[:-1] + (la + lb - 1 if mode == "full" else abs(la - lb) + 1,))
@@ -297,7 +297,7 @@ class LinePWL(ConvolutionResult):
         self.values = values
 
     def lp_norm(self, p):
-        return _pwl_norm(self.model, self.values, self.h, _pf(p), cyclic=False)
+        return _pwl_norm(self.values, self.h, _pf(p), cyclic=False)
 
 
 class TorusPWL(ConvolutionResult):
@@ -309,7 +309,7 @@ class TorusPWL(ConvolutionResult):
         self.values = values
 
     def lp_norm(self, p):
-        return _pwl_norm(self.model, self.values, self.h, _pf(p), cyclic=True)
+        return _pwl_norm(self.values, self.h, _pf(p), cyclic=True)
 
     def inverted_values(self):
         # circle inversion maps edge knot k to edge knot -k mod n
@@ -330,10 +330,12 @@ class PlanePWL(ConvolutionResult):
         # one function at a time: the Gauss-node surface below is up to 64
         # times the knot grid, so it is not built for a whole stack
         stack = self.values.reshape((-1,) + self.values.shape[-2:])
-        norms = np.array([self._knot_norm(v, pf) for v in stack])
+        q = _gauss_rule(pf)[0].size
+        row = np.empty((q, stack.shape[1] - 1, stack.shape[2] - 1))
+        norms = np.array([self._knot_norm(v, pf, row) for v in stack])
         return _scalar_or_rows(norms.reshape(self.values.shape[:-2]))
 
-    def _knot_norm(self, values, pf):
+    def _knot_norm(self, values, pf, row):
         v = np.abs(values)
         peak = float(v.max())
         if math.isinf(pf) or peak == 0.0:
@@ -342,10 +344,9 @@ class PlanePWL(ConvolutionResult):
         # the bilinear surface at the Gauss nodes (t, s), one node row t at
         # a time: its edges lo (s = 0) and hi (s = 1) are (m, n) arrays, and
         # the row's (q, m, n) block is lo + s (hi - lo), raised to p and
-        # summed over the cells in place
+        # summed over the cells in ``row``
         nodes, _, weights = _gauss_rule(pf)
-        m, n, q = v.shape[0] - 1, v.shape[1] - 1, nodes.size
-        row = _node_buffer(self.model, (q, m, n))
+        q = nodes.size
         sums = np.empty((q, q))
         v00, v10, v01, v11 = v[:-1, :-1], v[1:, :-1], v[:-1, 1:], v[1:, 1:]
         for k, t in enumerate(nodes):
@@ -360,32 +361,19 @@ class PlanePWL(ConvolutionResult):
         return peak * float(cell * self.h * self.h) ** (1.0 / pf)
 
 
-def _node_buffer(model, shape):
-    """An uninitialized float array of ``shape`` for a norm's values at the
-    Gauss nodes, carved from one buffer kept on the model and grown as
-    needed, so an ascent's thousands of norms do not each allocate, and
-    fault in, a block of this size.  Two threads must not take norms on
-    one model at once."""
-    size = math.prod(shape)
-    buf = getattr(model, "_node_values", None)
-    if buf is None or buf.size < size:
-        buf = model._node_values = np.empty(size)
-    return buf[:size].reshape(shape)
-
-
-def _pwl_norm(model, values, h, pf, cyclic):
+def _pwl_norm(values, h, pf, cyclic):
     """Lp norm of the piecewise-linear function through ``values`` (knots
     of common spacing h along the last axis; ``cyclic`` closes the last
     segment back to the first knot), by Gauss quadrature on every segment
     (``_gauss_rule``).
 
-    The nodes are the leading axis of the (q, *stack, segments) values, so
-    every pass runs over whole rows of segments.  Each node's values are
-    summed over the segments of each function, and the q node sums are
-    weighted and added one node after another, elementwise: a row of a
-    stack gets exactly the value the same function has alone.  (One BLAS
-    matvec over all rows would not: OpenBLAS's dgemv rounds a column by
-    its position when the row length is not a multiple of 4.)
+    The sum runs one node at a time: the values a + t (b - a) at node t on
+    every segment of the stack are formed in one array the size of the
+    knot stack, raised to p and summed over the segments of each function,
+    and the q node sums are weighted and added in node order, elementwise:
+    a row of a stack gets exactly the value the same function has alone.
+    (One BLAS matvec over all rows would not: OpenBLAS's dgemv rounds a
+    column by its position when the row length is not a multiple of 4.)
     """
     mags = np.abs(values)
     peak = mags.max(axis=-1, initial=0.0)
@@ -394,16 +382,17 @@ def _pwl_norm(model, values, h, pf, cyclic):
     mags /= _divisor(peak, 1)
     a = mags if cyclic else mags[..., :-1]
     b = np.roll(mags, -1, axis=-1) if cyclic else mags[..., 1:]
-    # the values a + t (b - a) at the nodes t, with b - a in the last row
-    t, w, _ = _gauss_rule(pf)
-    buf = _node_buffer(model, (t.size + 1,) + a.shape)
-    nodes = np.multiply.outer(t, np.subtract(b, a, out=buf[-1]), out=buf[:-1])
-    nodes += a
-    nodes **= pf
-    sums = nodes.sum(axis=-1)
-    total = sums[0] * w[0]
-    for s, wk in zip(sums[1:], w[1:]):
-        total += s * wk
+    # one block for both: as two arrays, on a 16 x 640 stack, glibc's heap
+    # trimmed and faulted them in afresh on every norm (1e5 minor faults in
+    # a line_ladder job against 5e2)
+    slope, node = np.empty((2,) + a.shape)
+    np.subtract(b, a, out=slope)
+    total = 0.0  # the node sums are >= 0, so 0.0 + s is s exactly
+    for t, w in zip(*_gauss_rule(pf)[:2]):
+        np.multiply(t, slope, out=node)
+        node += a
+        node **= pf
+        total += node.sum(axis=-1) * w
     return _scaled_root(peak, total * h, pf)
 
 
@@ -465,10 +454,7 @@ def _plane_convolve(model, v1, v2, de, enlarged):
 
 def _finite_kernel(model: FiniteGroup, v2):
     """kernel[i, k] = phi2(g_i^-1 g_k); finite groups are unimodular."""
-    lookup = getattr(model, "_conv_index", None)
-    if lookup is None:
-        lookup = model._conv_index = model.table[model.inv, :]
-    return np.take(v2, lookup, axis=-1)  # C order, as for one function
+    return np.take(v2, model.table[model.inv, :], axis=-1)  # C order, as for one function
 
 
 def _vec_mat(v, m):

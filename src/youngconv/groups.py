@@ -250,9 +250,12 @@ def affine_prime_field(q: int) -> FiniteGroup:
 
 
 def load_group_table(path) -> FiniteGroup:
-    """Read a finite group from a JSON file {"name": ..., "table": [[...]]}."""
+    """Read a finite group from a JSON file {"name": ..., "table": [[...]]};
+    the name, if given, is a string."""
     with open(path, "r", encoding="utf-8") as handle:
         obj = json.load(handle)
+    if not isinstance(obj, dict):
+        raise GroupModelError('a group file holds one JSON object {"name": ..., "table": [[...]]}')
     extra = set(obj) - {"name", "table"}
     if extra:
         raise GroupModelError(f"unknown group file fields: {sorted(extra)}")
@@ -264,7 +267,10 @@ def load_group_table(path) -> FiniteGroup:
         isinstance(row, list) and all(type(x) is int for x in row) for row in table
     ):
         raise GroupModelError("group table entries must be JSON integers")
-    return FiniteGroup(table, name=obj.get("name", "file"))
+    name = obj.get("name", "file")
+    if not isinstance(name, str):
+        raise GroupModelError("group file 'name' must be a JSON string")
+    return FiniteGroup(table, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,35 @@ def test_table_entries_that_are_not_integers_exit_4(tmp_path, table):
     assert err == f"error: --group 'Table:{path}': group table entries must be JSON integers\n"
 
 
+@pytest.mark.parametrize("text", ["5", "null", "[[0]]", '"ab"'])
+def test_table_file_that_is_not_an_object_exits_4(tmp_path, text):
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    argv = ["estimate", "--group", f"Table:{path}", "--p1", "4/3", "--p2", "4/3"]
+    code, out, err = _run_in_process(argv)
+    assert code == 4 and out == ""
+    assert err == (
+        f"error: --group 'Table:{path}': "
+        'a group file holds one JSON object {"name": ..., "table": [[...]]}\n'
+    )
+
+
+def test_table_name_must_be_a_string_for_estimate_and_report(tmp_path):
+    # before, a name 7 gave "group": 7 in --out (exit 0), which report
+    # then refused with exit 4
+    path, out = tmp_path / "t.json", tmp_path / "est.json"
+    path.write_text(json.dumps({"table": [[0]], "name": 7}))
+    argv = ["estimate", "--group", f"Table:{path}", "--p1", "4/3", "--p2", "4/3",
+            "--restarts", "1", "--iters", "5", "--out", str(out)]
+    code, _, err = _run_in_process(argv)
+    assert code == 4 and not out.exists()
+    assert err == f"error: --group 'Table:{path}': group file 'name' must be a JSON string\n"
+    path.write_text(json.dumps({"table": [[0]], "name": "Z1"}))
+    assert _run_in_process(argv)[0] == 0
+    code, text, _ = _run_in_process(["report", "--input", str(out), "--format", "json"])
+    assert code == 0 and json.loads(text)["group"] == "Z1"
+
+
 def test_report_has_no_out_option(tmp_path):
     assert _run_in_process(["report", "--input", "x.json", "--out", str(tmp_path / "o")])[0] == 2
 

@@ -1,5 +1,7 @@
 import functools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -442,9 +444,9 @@ def test_fftconvolve_2d_bit_equal_to_scipy_fft(shape1, shape2):
 
 
 def test_norms_after_a_larger_norm_are_unchanged():
-    # the line, torus and plane norms reuse one Gauss-node buffer per model,
-    # which may hold an earlier norm's values, so every value must be
-    # written before it is read
+    # the line, torus and plane norms form their Gauss-node values in
+    # arrays of their own, so a norm taken after a larger one on the same
+    # model, or after one of another size, is the norm taken first
     rng = np.random.default_rng(8)
     line, torus, plane = make_real_line(0.25, 4.0), make_torus(16), make_plane(0.5, 2.0)
     for result, big, small in (
@@ -459,6 +461,86 @@ def test_norms_after_a_larger_norm_are_unchanged():
                 result(rng.random(shape) * 1e3).lp_norm(p)
                 assert result(v).lp_norm(p) == first
             assert result(np.stack([v, v])).lp_norm(p).tolist() == [first, first]
+
+
+# Threads.  The norms, convolutions and adjoints of the unimodular kinds
+# make every array they write, so threads may share a model.  Four threads
+# each take 50 norms of functions of their own sizes on one model, with the
+# interpreter switching threads as often as it can, and every norm must
+# equal, bit for bit, the same norm taken alone.
+
+THREAD_KINDS = {
+    "line": (lambda: make_real_line(0.25, 4.0), lambda m, v: LinePWL(m, -8.0, m.h, v), 1),
+    "torus": (lambda: make_torus(16), lambda m, v: TorusPWL(m, v), 1),
+    "plane": (lambda: make_plane(0.5, 2.0), lambda m, v: PlanePWL(m, -4.0, m.h, v), 2),
+}
+
+
+@pytest.mark.parametrize("kind", THREAD_KINDS)
+def test_norms_on_a_shared_model_agree_across_threads(kind):
+    make_model, result, axes = THREAD_KINDS[kind]
+    model = make_model()
+    rng = np.random.default_rng(31)
+    jobs = [
+        [
+            (rng.random((1 + j % 3,) + (12 + 8 * i + j % 5,) * axes) * 10.0 ** (j % 4),
+             (4 / 3, 2.0, 3.0, 5 / 4)[(i + j) % 4])
+            for j in range(50)
+        ]
+        for i in range(4)
+    ]
+    alone = [[result(model, v).lp_norm(p).tolist() for v, p in job] for job in jobs]
+    got, errors = [[] for _ in jobs], []
+
+    def worker(job, out):
+        try:
+            for v, p in job:
+                out.append(result(model, v).lp_norm(p).tolist())
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(job, out)) for job, out in zip(jobs, got)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    wrong = sum(g != a for out, ref in zip(got, alone) for g, a in zip(out, ref))
+    assert [len(out) for out in got] == [50] * 4 and wrong == 0, f"{wrong} of 200 norms differ"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_real_line(0.25, 2.0),
+    lambda: make_plane(0.5, 1.5),
+    lambda: make_integer_line(7),
+    lambda: make_torus(5),
+    lambda: affine_prime_field(5),
+], ids=["line", "plane", "integer-line", "torus", "finite"])
+def test_unimodular_kernels_write_nothing_to_the_model(make):
+    model = make()
+    before = dict(vars(model))
+    copies = {k: v.copy() for k, v in before.items() if isinstance(v, np.ndarray)}
+    rng = np.random.default_rng(32)
+    for stack in ((), (3,)):
+        f1 = GroupFunction(model, rng.random(stack + model.shape))
+        f2 = GroupFunction(model, rng.random(stack + model.shape))
+        psi = twisted_convolve(f1, f2, EX)
+        w = psi.dual_power(float(EX.p) - 1.0)
+        ascent_direction_phi1(model, f2.values, w, 0.0)
+        ascent_direction_phi2(model, f1.values, w, 0.0)
+        for p in (4 / 3, 2.0, 3.0, math.inf):
+            lp_norm(psi, p)
+            lp_norm(f1, p)
+        young_ratio(f1, f2, EX)
+    assert vars(model).keys() == before.keys()
+    assert all(vars(model)[k] is v for k, v in before.items())
+    assert all(np.array_equal(vars(model)[k], c) for k, c in copies.items())
 
 
 # Norm oracles.  The weighted norm must equal, bit for bit, its expression

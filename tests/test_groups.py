@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 import tracemalloc
 
@@ -286,6 +287,28 @@ def test_load_group_table_refuses_entries_that_are_not_integers(tmp_path, table)
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"table": table}))
     with pytest.raises(GroupModelError, match="JSON integers"):
+        load_group_table(path)
+
+
+# top levels that are not a JSON object; before, the first two raised
+# TypeError, a list "unhashable type", and a string named its letters as
+# unknown fields
+NON_OBJECT_FILES = ["5", "null", "[[0]]", '"ab"']
+
+
+@pytest.mark.parametrize("text", NON_OBJECT_FILES)
+def test_load_group_table_refuses_a_top_level_that_is_not_an_object(tmp_path, text):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    with pytest.raises(GroupModelError, match=re.escape('{"name": ..., "table": [[...]]}')):
+        load_group_table(path)
+
+
+@pytest.mark.parametrize("name", [7, None, ["Z1"]], ids=["int", "null", "list"])
+def test_load_group_table_refuses_a_name_that_is_not_a_string(tmp_path, name):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"table": [[0]], "name": name}))
+    with pytest.raises(GroupModelError, match="'name' must be a JSON string"):
         load_group_table(path)
 
 
