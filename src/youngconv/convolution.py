@@ -20,8 +20,8 @@ of one node row) are formed in one array, raised to p and summed over the
 cells, and the node sums are weighted in node order.  They agree with
 the per-cell order to about 1e-15 relative, and a row of a stack gets bit
 for bit the norm of the same function alone.  Each call makes the arrays
-it writes, so the norms, convolutions and adjoints of the unimodular
-kinds write nothing to the model, and threads may share one.
+it writes, and no call writes to the model but an affine grid's first,
+which adds its read-only index tables, so threads may share a model.
 
 On the affine grid the convolution is a direct double sum over cells; the
 group is non-abelian so there is no FFT shortcut, but for each pair of
@@ -48,11 +48,12 @@ the one the whole enlarged output uses.
 The kernel rows depend on phi2 alone, and the estimator's loop convolves
 with one phi2 many times, so it runs its ascent inside
 ``kept_kernel_spectra(model)``: there the forward and A* keep the kernel
-spectra of the last phi2 stack they convolved with, keyed on the output
-window, the Delta exponent and an exact copy of phi2, and read them in
-place of their gather and rfft while the key holds.  On the carrier
-window they take 5.4 MB per function on the 61 x 120 criterion-6 grid,
-growing as n_u^2 n_b, and they are dropped before certification.
+spectra of the last phi2 stack they convolved with in a context variable,
+one per thread, keyed on the output window, the Delta exponent and an
+exact copy of phi2, and read them in place of their gather and rfft
+while the key holds.  On the carrier window they take 5.4 MB per
+function on the 61 x 120 criterion-6 grid, growing as n_u^2 n_b, and
+they are dropped before certification.
 
 Every kernel, adjoint and norm also takes a stack of functions: leading
 axes in front of the model's own (numpy ``...`` style), reduced only over
@@ -65,6 +66,7 @@ batched form.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import functools
 import math
 import types
@@ -287,14 +289,18 @@ class AffineConvolution(CellConvolution):
         return _scalar_or_rows(np.maximum(0.0, in_mass - mass(self.weight * np.abs(psi))))
 
 
-class LinePWL(ConvolutionResult):
-    """Piecewise-linear function with equispaced knots (exact on the line)."""
+class _KnotGrid(ConvolutionResult):
+    """Values at equispaced knots of spacing h from x0 along every axis."""
 
     def __init__(self, model, x0, h, values):
         super().__init__(model)
         self.x0 = float(x0)
         self.h = float(h)
         self.values = values
+
+
+class LinePWL(_KnotGrid):
+    """Piecewise-linear function with equispaced knots (exact on the line)."""
 
     def lp_norm(self, p):
         return _pwl_norm(self.values, self.h, _pf(p), cyclic=False)
@@ -316,14 +322,8 @@ class TorusPWL(ConvolutionResult):
         return np.roll(self.values[::-1], 1)
 
 
-class PlanePWL(ConvolutionResult):
+class PlanePWL(_KnotGrid):
     """Piecewise-bilinear function on an equispaced 2-d knot grid."""
-
-    def __init__(self, model, x0, h, values):
-        super().__init__(model)
-        self.x0 = float(x0)
-        self.h = float(h)
-        self.values = values
 
     def lp_norm(self, p):
         pf = _pf(p)
@@ -529,21 +529,21 @@ def _affine_sample_index(model: AffineModel, w_b):
     return gather
 
 
+_kept = contextvars.ContextVar("kept_kernel_spectra", default=None)
+
+
 @contextlib.contextmanager
 def kept_kernel_spectra(model):
-    """A block in which the affine forward and A* keep the kernel spectra
-    of the last phi2 stack they convolved with (see _summed_row_spectrum);
-    the other kinds have none.  On exit the spectra are dropped, and the
-    model is left as the block found it.  Two threads must not run ascents
-    on one model at once."""
-    outer = vars(model).get("_kept_spectra")
-    model._kept_spectra = types.SimpleNamespace(key=None, buffer=np.empty(0, dtype=complex))
+    """A block in which the affine forward and A* on ``model`` keep the
+    kernel spectra of the last phi2 stack they convolved with (see
+    _summed_row_spectrum); the other kinds have none.  The spectra live in
+    a context variable, not on the model, so every thread has its own;
+    on exit they are dropped and an enclosing block's are back in force."""
+    token = _kept.set(types.SimpleNamespace(model=model, key=None, buffer=np.empty(0, dtype=complex)))
     try:
         yield
     finally:
-        del model._kept_spectra
-        if outer is not None:
-            model._kept_spectra = outer
+        _kept.reset(token)
 
 
 def _kernel_spectra(row, cols, kern, out):
@@ -570,11 +570,12 @@ def _summed_row_spectrum(model, spec, v2, de, cols, n_rows, terms):
     takes as they are.  A row of a stack is summed on its own, so it gets
     the values it has alone.
 
-    Inside kept_kernel_spectra the kernel spectra are kept on the model in
-    the order of ``terms``, which the forward and A* on one window share,
-    keyed on ``cols``, ``de`` and an exact copy of ``v2``.  A call with an
-    equal key reads them and gathers and transforms nothing; any other
-    writes its own over them, and the key is set once they are complete.
+    Inside a kept_kernel_spectra block on ``model`` the kernel spectra are
+    kept in the block's namespace in the order of ``terms``, which the
+    forward and A* on one window share, keyed on ``cols``, ``de`` and an
+    exact copy of ``v2``.  A call with an equal key reads them and gathers
+    and transforms nothing; any other writes its own over them, and the
+    key is set once they are complete.
     """
     nfft = cols.shape[1]
     nfreq = nfft // 2 + 1
@@ -583,7 +584,8 @@ def _summed_row_spectrum(model, spec, v2, de, cols, n_rows, terms):
     vbatch = v2.shape[:-2]  # the spectra depend on phi2 alone
     live = v2.any(axis=tuple(range(v2.ndim - 2)) + (-1,)).tolist()
     n, nv = math.prod(batch), math.prod(vbatch)
-    kept = getattr(model, "_kept_spectra", None)
+    kept = _kept.get()
+    kept = kept if getattr(kept, "model", None) is model else None
     key = getattr(kept, "key", None)
     hit = key is not None and key[0] is cols and key[1] == de and np.array_equal(key[2], v2)
     if kept is not None:

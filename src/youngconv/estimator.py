@@ -172,7 +172,8 @@ class _Lockstep:
     It runs inside _ascend's kept_kernel_spectra block: on the affine grid
     the forward and A* keep the kernel spectra of the phi2 stack they last
     convolved with, so while phi2 holds still a phi1 half-step on the
-    running rows neither gathers nor transforms a kernel.
+    running rows neither gathers nor transforms a kernel.  The block keeps
+    them in this thread's context, so threads may share the model.
     """
 
     def __init__(self, model, ex: YoungExponents, cfg):

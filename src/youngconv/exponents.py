@@ -43,10 +43,16 @@ def _parse_inverse(value) -> Fraction:
     raise ExponentError(f"unsupported exponent type {type(value).__name__}")
 
 
-def _float_of(inv: Fraction) -> float:
+def _float_of(inv: Fraction, given=None) -> float:
     """p = 1/inv as a float, inf for inv = 0; cached on every Exponent because
-    the estimator's inner loop asks for it on each step."""
-    return math.inf if inv == 0 else float(1 / inv)
+    the estimator's inner loop asks for it on each step.  A finite p past
+    the largest float is refused, named as ``given`` or by its size."""
+    try:
+        return math.inf if inv == 0 else float(1 / inv)
+    except OverflowError:
+        if given is None:
+            given = f"of about 1e{math.log10(inv.denominator) - math.log10(inv.numerator):.0f}"
+        raise ExponentError(f"exponent {given} is too large for a float; use inf") from None
 
 
 class Exponent:
@@ -59,7 +65,7 @@ class Exponent:
         if not (0 <= inv <= 1):
             raise ExponentError(f"exponent must lie in [1, inf], got 1/{inv}")
         self._inv = inv
-        self._float = _float_of(inv)
+        self._float = _float_of(inv, repr(value) if isinstance(value, str) else None)
 
     @classmethod
     def from_inverse(cls, inv: Fraction) -> "Exponent":

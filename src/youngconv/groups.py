@@ -8,13 +8,14 @@ translations act by coordinate maps plus cell lookup, and the only
 approximation parameters are the cell width and the window.
 
 Kinds and conventions, one class each; each class is also its own
-factory under a ``make_*`` name, listed after the last class:
+factory under a ``make_*`` name, listed after the last class.  The real
+line and the plane are the 1- and 2-d step grids of one base class:
 
 * ``finite``        group table, counting Haar, Delta = 1.
 * ``real_line_steps`` cells of width h on [-L, L), Haar mass h.
 * ``integer_line``  Z cut to [-L, L], counting Haar (discrete group window).
 * ``torus_grid``    R/Z with n cells, Haar mass 1/n.
-* ``product``       R^2 as a tensor grid of two real lines.
+* ``product``       R^2 as a tensor grid of two real lines, Haar mass h^2.
 * ``affine_grid``   ax+b group, uniform grid in (u, b) with u = log a.
   Product (a1,b1)(a2,b2) = (a1 a2, a1 b2 + b1), left Haar da db / a^2
   (cell mass h_b * exp(-u) * 2 sinh(h_u / 2), exact per cell), and
@@ -290,31 +291,41 @@ def _cell_count(half_width, h, name):
     return int(round(k))
 
 
-class RealLineModel(GroupModel):
-    """(R, +) as step functions on cells of width h over [-L, L)."""
-
-    kind = "real_line_steps"
+class _StepGrid(GroupModel):
+    """(R^dim, +) as step functions on the tensor grid of ``dim`` copies
+    of the cells of width h over [-L, L); each subclass names its kind,
+    ``dim``, the ``prefix`` of its name and the ``label`` of its errors."""
 
     def __init__(self, h, half_width):
-        k = _cell_count(half_width, h, "real line")
+        n = 2 * _cell_count(half_width, h, self.label)
         self.h = float(h)
         self.half_width = float(half_width)
-        n = 2 * k
         self.centers = -self.half_width + (np.arange(n) + 0.5) * self.h
-        super().__init__(f"R[h={h},L={half_width}]", np.full(n, self.h), np.ones(n))
+        shape = (n,) * self.dim
+        weight = np.full(shape, math.prod((self.h,) * self.dim))
+        super().__init__(f"{self.prefix}[h={h},L={half_width}]", weight, np.ones(shape))
+
+    def _envelope(self, c, s):
+        """exp(-|x - c|^2 / (2 s^2)) at the cell centers; c has dim entries."""
+        r2 = sum(d**2 for d in np.ix_(*(self.centers - ci for ci in c)))
+        return np.exp(-r2 / (2 * s * s))
 
     def random_start(self, rng):
         """Noise under a random bump envelope, so mass begins away from the
         window edge."""
         noise = super().random_start(rng)
-        x = self.centers
-        c = rng.uniform(-0.2, 0.2) * self.half_width
+        c = rng.uniform(-0.2, 0.2, size=self.dim) * self.half_width
         s = rng.uniform(0.2, 0.6) * self.half_width
-        return noise * np.exp(-((x - c) ** 2) / (2 * s * s))
+        return noise * self._envelope(c, s)
 
     def default_bump(self):
-        s = 0.3 * self.half_width
-        return np.exp(-self.centers**2 / (2 * s * s))
+        return self._envelope(np.zeros(self.dim), 0.3 * self.half_width)
+
+
+class RealLineModel(_StepGrid):
+    """(R, +) as step functions on cells of width h over [-L, L)."""
+
+    kind, dim, prefix, label = "real_line_steps", 1, "R", "real line"
 
 
 class IntegerLineModel(GroupModel):
@@ -348,32 +359,10 @@ class TorusModel(GroupModel):
         super().__init__(f"T[n={n}]", np.full(n, self.h), np.ones(n))
 
 
-class PlaneModel(GroupModel):
+class PlaneModel(_StepGrid):
     """(R^2, +) as a tensor grid of two real lines (kind 'product')."""
 
-    kind = "product"
-
-    def __init__(self, h, half_width):
-        k = _cell_count(half_width, h, "plane")
-        self.h = float(h)
-        self.half_width = float(half_width)
-        n = 2 * k
-        self.centers = -self.half_width + (np.arange(n) + 0.5) * self.h
-        weight = np.full((n, n), self.h * self.h)
-        super().__init__(f"R2[h={h},L={half_width}]", weight, np.ones((n, n)))
-
-    def random_start(self, rng):
-        noise = super().random_start(rng)
-        x = self.centers
-        c = rng.uniform(-0.2, 0.2, size=2) * self.half_width
-        s = rng.uniform(0.2, 0.6) * self.half_width
-        env = np.exp(-((x[:, None] - c[0]) ** 2 + (x[None, :] - c[1]) ** 2) / (2 * s * s))
-        return noise * env
-
-    def default_bump(self):
-        s = 0.3 * self.half_width
-        x = self.centers
-        return np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / (2 * s * s))
+    kind, dim, prefix, label = "product", 2, "R2", "plane"
 
 
 # ---------------------------------------------------------------------------

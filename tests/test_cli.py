@@ -55,6 +55,16 @@ def test_exit_code_bad_exponents():
     assert _run(["catalog", "--p1", "1/2", "--p2", "2"]).returncode == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["exact"],
+    ["estimate", "--group", "Zmod:8", "--restarts", "1", "--iters", "1"],
+], ids=["exact", "estimate"])
+def test_an_exponent_past_the_largest_float_exits_2(command):
+    code, out, err = _run_in_process(command + ["--p1", "1e400", "--p2", "4/3"])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "'1e400'" in err, err
+
+
 def test_exit_code_bad_counts():
     estimate = ["estimate", "--group", "Zmod:6", "--p1", "4/3", "--p2", "3/2"]
     for argv in (

@@ -1068,16 +1068,17 @@ def test_affine_carried_kernel_spectra_match_a_fresh_forward(model, monkeypatch)
         in_place[...] = changed
         value, n = gathered(forward, v1, in_place, 0.0)
         assert n > 0 and np.array_equal(value, ref)
-    # the block leaves the model as it found it, an enclosing block's
-    # spectra included, and nothing complex stays behind, also when its
-    # body raises
+    # a nested block restores the enclosing block's spectra, also when its
+    # body raises, and no block leaves anything on the model: no kept
+    # spectra and nothing complex
     with kept_kernel_spectra(model):
-        outer = model._kept_spectra
+        outer = convolution._kept.get()
         with pytest.raises(RuntimeError):
             with kept_kernel_spectra(model):
                 forward(v1, v2, 0.0)
                 raise RuntimeError
-        assert model._kept_spectra is outer
+        assert convolution._kept.get() is outer
+    assert convolution._kept.get() is None
     assert not hasattr(model, "_kept_spectra")
 
     def arrays(obj):

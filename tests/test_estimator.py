@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -528,3 +530,60 @@ def test_estimates_match_golden_file():
         assert rep.truncation_mass == pytest.approx(
             want["truncation_mass"], rel=1e-12, abs=1e-15
         ), selector
+
+
+# Threads.  An estimate keeps its affine kernel spectra in its own thread's
+# context and writes nothing to its model, so threads may estimate on one
+# model at once.  Four threads each run three estimates on one model, with
+# the interpreter switching threads as often as it can, and every report
+# must equal, bit for bit, the one the same estimate gives alone.
+
+SHARED_MODELS = {
+    "finite": lambda: cyclic_group(8),
+    "integer-line": lambda: make_integer_line(6),
+    "real-line": lambda: make_real_line(0.25, 2.0),
+    "torus": lambda: make_torus(12),
+    "plane": lambda: make_plane(0.5, 2.0),
+    "affine": lambda: make_affine_group(0.25, 1.0, 0.25, 2.0),
+}
+
+
+def _report_bits(report):
+    return (
+        report.lower_bound,
+        report.ratio_trace,
+        tuple(np.ascontiguousarray(v).tobytes() for v in report.best_pair),
+    )
+
+
+@pytest.mark.parametrize("kind", SHARED_MODELS)
+def test_estimates_on_a_shared_model_agree_across_threads(kind):
+    model = SHARED_MODELS[kind]()
+    ex = young_p("4/3", "3/2")
+    cfg = EstimatorConfig(restarts=2, max_iters=20, seed=42)
+    alone = _report_bits(estimate(model, ex, cfg))
+    names = sorted(vars(model))  # after a first estimate, as any later one finds it
+    got, errors = [[] for _ in range(4)], []
+
+    def worker(out):
+        try:
+            for _ in range(3):
+                out.append(_report_bits(estimate(model, ex, cfg)))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(out,)) for out in got]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert [len(out) for out in got] == [3] * 4
+    assert all(bits == alone for out in got for bits in out)
+    assert sorted(vars(model)) == names

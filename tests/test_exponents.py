@@ -29,6 +29,23 @@ def test_parsing_rejects(bad):
         Exponent(bad)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Exponent("1e400"),
+    lambda: Exponent(10**400),
+    lambda: Exponent(Fraction(10**400, 3)),
+    lambda: young_p("1e400", "4/3"),
+    lambda: Exponent("1." + "0" * 400 + "1").conjugate(),  # p' of about 1e401
+], ids=["string", "int", "fraction", "young_p", "conjugate"])
+def test_a_finite_exponent_past_the_largest_float_is_refused(make):
+    # its float would read as inf, which is not the exponent
+    with pytest.raises(ExponentError, match="too large for a float"):
+        make()
+
+
+def test_an_exponent_near_the_largest_float_is_kept():
+    assert float(Exponent("1e308")) == 1e308
+
+
 def test_conjugate_endpoints_exact():
     assert holder_conjugate(1).is_inf
     assert holder_conjugate("inf").is_one
